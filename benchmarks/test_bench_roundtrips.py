@@ -8,10 +8,10 @@ Two measurements, one document (``BENCH_roundtrips.json``):
   :class:`~repro.api.messages.RunProgram`.  The program path costs exactly
   one reply frame per transaction — O(1) in the operation count, where the
   per-command path pays ``operations + 2``;
-* **worker RPC requests per cross-shard commit** — the engine's vectored
-  worker protocol (acquire batches, fused execution, deferred writes
-  against the mirror) against the classic per-operation protocol on the
-  same workloads: the acceptance bar is at least a 2x reduction.
+* **worker RPC requests per cross-shard commit** — the engine's worker
+  protocol (acquire batches, fused execution, deferred writes against the
+  mirror), pinned at the counts it reached when the one-RPC-per-step wire
+  was retired (that wire paid 16 and 12 where this one pays 6 and 9).
 """
 
 import json
@@ -94,7 +94,7 @@ def measure_client_frames(banking, banking_compiled):
     return rows
 
 
-def worker_engine(**engine_options):
+def worker_engine():
     schema = banking_schema()
     compiled = compile_schema(schema)
     store = populate_store(schema, INSTANCES, seed=SEED,
@@ -104,43 +104,39 @@ def worker_engine(**engine_options):
     return Engine(protocol, shard_workers=2, default_lock_timeout=5.0,
                   worker_options={"schema": "banking",
                                   "instances": INSTANCES,
-                                  "populate_seed": SEED},
-                  **engine_options), store
+                                  "populate_seed": SEED}), store
 
 
 def measure_worker_rpcs():
-    """Worker RPC requests per commit, vectored vs classic protocol."""
+    """Worker RPC requests per commit, per transaction shape."""
     rows = []
-    for vectored in (True, False):
-        engine, store = worker_engine(vectored_rpc=vectored)
-        try:
-            by_shard: dict[int, object] = {}
-            for oid in store.extent("Account"):
-                by_shard.setdefault(store.router.shard_of_oid(oid), oid)
-            first, second = by_shard[0], by_shard[1]
-            shapes = {
-                "cross-shard extent": [ExtentCall(class_name="Account",
-                                                  method="deposit",
-                                                  arguments=(1.0,))],
-                "cross-shard transfer": transfer_operations(first, second, 2),
-            }
-            for shape, operations in shapes.items():
-                before = engine.metrics.rpc_requests
-                for _ in range(WORKER_TRANSACTIONS):
-                    session = engine.begin(label="measured")
-                    for operation in operations:
-                        engine.perform(session.transaction, operation)
-                    engine.commit(session.transaction)
-                rpcs = engine.metrics.rpc_requests - before
-                rows.append({
-                    "measure": "worker_rpcs",
-                    "mode": "vectored" if vectored else "classic",
-                    "shape": shape, "transactions": WORKER_TRANSACTIONS,
-                    "rpcs": rpcs,
-                    "rpcs_per_commit": rpcs / WORKER_TRANSACTIONS,
-                })
-        finally:
-            engine.close()
+    engine, store = worker_engine()
+    try:
+        by_shard: dict[int, object] = {}
+        for oid in store.extent("Account"):
+            by_shard.setdefault(store.router.shard_of_oid(oid), oid)
+        first, second = by_shard[0], by_shard[1]
+        shapes = {
+            "cross-shard extent": [ExtentCall(class_name="Account",
+                                              method="deposit",
+                                              arguments=(1.0,))],
+            "cross-shard transfer": transfer_operations(first, second, 2),
+        }
+        for shape, operations in shapes.items():
+            before = engine.metrics.rpc_requests
+            for _ in range(WORKER_TRANSACTIONS):
+                session = engine.begin(label="measured")
+                for operation in operations:
+                    engine.perform(session.transaction, operation)
+                engine.commit(session.transaction)
+            rpcs = engine.metrics.rpc_requests - before
+            rows.append({
+                "measure": "worker_rpcs", "shape": shape,
+                "transactions": WORKER_TRANSACTIONS, "rpcs": rpcs,
+                "rpcs_per_commit": rpcs / WORKER_TRANSACTIONS,
+            })
+    finally:
+        engine.close()
     return rows
 
 
@@ -159,17 +155,15 @@ def test_roundtrips_per_transaction(benchmark, banking, banking_compiled):
         assert by_path[("per-command", operations)]["frames_per_txn"] \
             == operations + 2
 
-    by_mode = {(row["mode"], row["shape"]): row for row in rpc_rows}
-    reductions = {
-        shape: (by_mode[("classic", shape)]["rpcs_per_commit"]
-                / by_mode[("vectored", shape)]["rpcs_per_commit"])
-        for shape in ("cross-shard extent", "cross-shard transfer")
-    }
-    # The acceptance bar: at least half the worker RPCs per cross-shard
-    # commit.  The transfer shape keeps its class lock on one shard and
-    # saves less; it must still never regress.
-    assert reductions["cross-shard extent"] >= 2.0, reductions
-    assert reductions["cross-shard transfer"] > 1.0, reductions
+    rpcs_per_commit = {row["shape"]: row["rpcs_per_commit"]
+                       for row in rpc_rows}
+    # Deterministic counts, so pinned absolutely.  The extent: one class
+    # lock, a prepare and a commit per shard, one release (its writes ride
+    # the prepares).  The transfer: a fused withdraw, two acquires for the
+    # cross-shard deposit, then prepare, commit and release per shard.  A
+    # new round trip on either shape fails.
+    assert rpcs_per_commit["cross-shard extent"] <= 6.0, rpcs_per_commit
+    assert rpcs_per_commit["cross-shard transfer"] <= 9.0, rpcs_per_commit
 
     JSON_PATH.write_text(json.dumps({
         "benchmark": "roundtrips",
@@ -180,8 +174,7 @@ def test_roundtrips_per_transaction(benchmark, banking, banking_compiled):
                    "seed": SEED, "shard_workers": 2},
         "summary": {
             "program_frames_per_txn": 1.0,
-            "worker_rpc_reduction": {shape: round(ratio, 2)
-                                     for shape, ratio in reductions.items()},
+            "worker_rpcs_per_commit": rpcs_per_commit,
         },
         "results": frame_rows + rpc_rows,
     }, indent=1) + "\n", encoding="utf-8")
@@ -192,12 +185,8 @@ def test_roundtrips_per_transaction(benchmark, banking, banking_compiled):
                      f"{row['frames_per_txn']:>10.2f}  "
                      f"{row['commits_per_s']:>9.1f}")
     lines.append("")
-    lines.append("mode      shape                 rpcs/commit")
+    lines.append("shape                 rpcs/commit")
     for row in rpc_rows:
-        lines.append(f"{row['mode']:<9} {row['shape']:<21} "
-                     f"{row['rpcs_per_commit']:>11.1f}")
-    emit("Round trips per transaction: program path frames and vectored "
-         "worker RPCs (reductions — " + ", ".join(
-             f"{shape}: {ratio:.2f}x"
-             for shape, ratio in sorted(reductions.items())) + ")",
-         "\n".join(lines))
+        lines.append(f"{row['shape']:<21} {row['rpcs_per_commit']:>11.1f}")
+    emit("Round trips per transaction: program path frames and worker "
+         "RPCs per commit", "\n".join(lines))

@@ -23,7 +23,7 @@ from repro.engine.harness import write_bench_json
 from repro.reporting import format_throughput_table
 from repro.txn.protocols import TAVProtocol
 
-from .conftest import emit
+from .conftest import emit, wall_clock_floor
 
 THREADS = 8
 TRANSACTIONS = 120
@@ -78,14 +78,15 @@ def test_sanitizer_overhead(benchmark, banking, banking_compiled):
     # The sanitizer adds per-access checking, never concurrency — slower
     # than 20x would mean an accidental O(n^2) in the coverage scan, and
     # meaningfully faster than the plain run would mean it isn't checking.
-    assert 0.05 < ratio <= 1.5, ratio
+    floor = wall_clock_floor("sanitized/plain throughput", ratio,
+                             low=0.05, high=1.5)
 
     write_bench_json(JSON_PATH, results, {
         "threads": THREADS, "transactions": TRANSACTIONS,
         "instances": INSTANCES_PER_CLASS,
         "worker_transactions": WORKER_TRANSACTIONS,
         "sanitize": [False, True, True],
-        "sanitized_over_plain_throughput": ratio,
+        "sanitized_over_plain_throughput": ratio, "floors": [floor],
     }, benchmark="sanitizer_overhead")
 
     emit("Sanitizer overhead: plain vs sanitize=True plus a 2-worker smoke "

@@ -25,7 +25,7 @@ from repro.engine.harness import write_bench_json
 from repro.reporting import format_throughput_table
 from repro.txn.protocols import TAVProtocol
 
-from .conftest import emit
+from .conftest import emit, wall_clock_floor
 
 THREADS = 8
 TRANSACTIONS = 120
@@ -71,13 +71,14 @@ def test_transport_overhead(benchmark, banking, banking_compiled):
     # regressed back toward one round trip per operation (~0.38 measured
     # before reply pipelining) or something worse broke (a sleep in the
     # hot path, Nagle re-enabled, ...).
-    for shards, ratio in overhead.items():
-        assert 0.5 < ratio <= 1.5, (shards, ratio)
+    floors = [wall_clock_floor(f"socket/inproc throughput, shards={shards}",
+                               ratio, low=0.5, high=1.5)
+              for shards, ratio in sorted(overhead.items())]
 
     write_bench_json(JSON_PATH, results, {
         "threads": THREADS, "transactions": TRANSACTIONS,
         "instances": INSTANCES_PER_CLASS, "shards": [1, 4],
-        "transport": ["inproc", "socket"],
+        "transport": ["inproc", "socket"], "floors": floors,
     }, benchmark="transport_overhead")
 
     emit("Transport overhead: inproc vs socket at shards 1 and 4 "

@@ -137,7 +137,7 @@ def main() -> None:
         with engine.begin(label="fatal-transfer") as session:
             session.call(a, "withdraw", 10.0)
             session.call(b, "deposit", 10.0)
-        primary = engine._worker_processes[1 * (REPLICAS + 1) + REPLICAS]
+        primary = engine.backend.processes[1 * (REPLICAS + 1) + REPLICAS]
         assert primary.wait(timeout=10.0) == FAULT_EXIT
         print("  the decision log made the commit durable; the primary died")
 

@@ -17,9 +17,9 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.findings import Finding, ModuleInfo
 
-#: Methods that hand locks back (or tear down lock-front state) — the
-#: "shrinking phase begins" markers rule L2 orders against state mutation.
-_RELEASE_ATTRS = frozenset({"release_all", "clear_doom"})
+#: Methods that hand locks back — the "shrinking phase begins" markers
+#: rule L2 orders against state mutation.
+_RELEASE_ATTRS = frozenset({"release_all"})
 
 #: Attribute calls rule L3 treats as transaction-state/commit-log mutation.
 _STATE_CALL_ATTRS = frozenset({"record_commit"})
@@ -282,21 +282,23 @@ class DataPlaneWriteRule(Rule):
     #: or a recovery/structural-durability internal:
     #:
     #: * ``repro.sharding.store`` — the sharded ObjectStore itself;
-    #: * ``Engine._mirror_writes`` / ``_WorkerStoreFront.write_field`` —
-    #:   echo into the planning mirror of writes the owning worker already
-    #:   applied under the transaction's locks, after the before-image
-    #:   write plan was shipped (the write-ahead rule ran worker-side);
-    #: * ``Engine.create_instance`` / ``Engine.delete_instance`` — the
+    #: * ``WorkerShardBackend._mirror_writes`` — echo into the planning
+    #:   mirror of writes the owning worker already applied under the
+    #:   transaction's locks, after logging the before-images it computed
+    #:   (the write-ahead rule ran worker-side);
+    #: * ``_WorkerStoreFront.write_field`` — a cross-shard write into the
+    #:   planning mirror, buffered for its owning worker in the same call:
+    #:   the engine logged the covering before-image into the mirror undo
+    #:   log first, and the buffered image reaches the worker ahead of the
+    #:   buffered write (``ShardWorker._apply_writes`` below);
+    #: * ``LocalShardBackend.create_instance`` / ``.delete_instance`` — the
     #:   structural-durability path, which logs its own InstanceCreated/
     #:   InstanceDeleted WAL records around the mutation;
     #: * ``ShardWorker._recover_own_shard`` / ``ShardWorker._apply_image``
     #:   — per-participant crash recovery rebuilding the partition;
-    #: * ``ShardWorker._write_field`` — the cross-shard data plane: the
-    #:   coordinating engine holds the locks and shipped the write plan
-    #:   (before-images) to this worker first;
     #: * ``ShardWorker._apply_writes`` — the deferred-write flush: the
     #:   engine buffered these lock-covered writes client-side and ships
-    #:   them piggybacked on the next Execute/Prepare; every call site
+    #:   them piggybacked on the next ExecuteFused/Prepare; every call site
     #:   runs ``_log_images`` over the piggybacked before-images first,
     #:   so the write-ahead order holds (and under ``REPRO_SANITIZE`` the
     #:   same method routes through ``WorkerStoreGuard``, which checks
@@ -307,10 +309,10 @@ class DataPlaneWriteRule(Rule):
     #:   *primary* already enforced, and every frame is appended to the
     #:   standby's own log before it is applied (rule L8 pins the applier
     #:   to exactly these replay/recovery call sites);
-    #: * ``Engine._resync_mirror`` — worker re-admission: overwrites the
-    #:   planning mirror's partition from the promoted/recovered worker's
-    #:   snapshot, the same mirror-echo relationship ``_mirror_writes``
-    #:   maintains per transaction;
+    #: * ``WorkerShardBackend._resync_mirror`` — worker re-admission:
+    #:   overwrites the planning mirror's partition from the promoted/
+    #:   recovered worker's snapshot, the same mirror-echo relationship
+    #:   ``_mirror_writes`` maintains per transaction;
     #: * ``Engine._build_snapshot_store`` — the read-only snapshot builder:
     #:   it populates (and rolls back in-flight writes inside) an
     #:   engine-private committed-state *copy* that no transaction ever
@@ -318,15 +320,14 @@ class DataPlaneWriteRule(Rule):
     #:   the live store is never touched.
     ALLOWLIST = frozenset({
         ("repro.sharding.store", "*"),
-        ("repro.engine.engine", "Engine._mirror_writes"),
         ("repro.engine.engine", "Engine._build_snapshot_store"),
-        ("repro.engine.engine", "_WorkerStoreFront.write_field"),
-        ("repro.engine.engine", "Engine.create_instance"),
-        ("repro.engine.engine", "Engine.delete_instance"),
-        ("repro.engine.engine", "Engine._resync_mirror"),
+        ("repro.sharding.backends", "WorkerShardBackend._mirror_writes"),
+        ("repro.sharding.backends", "WorkerShardBackend._resync_mirror"),
+        ("repro.sharding.backends", "_WorkerStoreFront.write_field"),
+        ("repro.sharding.backends", "LocalShardBackend.create_instance"),
+        ("repro.sharding.backends", "LocalShardBackend.delete_instance"),
         ("repro.sharding.worker", "ShardWorker._recover_own_shard"),
         ("repro.sharding.worker", "ShardWorker._apply_image"),
-        ("repro.sharding.worker", "ShardWorker._write_field"),
         ("repro.sharding.worker", "ShardWorker._apply_writes"),
         ("repro.replication.standby", "StandbyReplicator._restore_instance"),
         ("repro.replication.standby", "StandbyReplicator._apply_record"),
@@ -691,6 +692,83 @@ class PlanViaCacheRule(Rule):
         return qualname.rsplit(".", 1)[-1] != "__init__"
 
 
+class ModeFreeEngineRule(Rule):
+    """L10: ``Engine`` methods never branch on where the shards live.
+
+    ``Engine.__init__`` picks a shard backend
+    (:mod:`repro.sharding.backends`); every other method talks to it
+    through the duck-typed surface both backends share.  A conditional —
+    ``if``/``elif``, ``while``, a conditional expression, an ``assert`` or
+    a comprehension filter — that tests worker/topology state (a name or
+    attribute containing ``workers``, ``vectored`` or ``standbys``, or an
+    ``isinstance`` against a backend class or ``RemoteShardClient``) is
+    how the in-process and worker code paths grew apart before; the
+    behaviour belongs in the backends instead.
+    """
+
+    code = "L10"
+    title = "Engine methods outside __init__ never test topology"
+    historical = ("PR 14's mode-free engine: Engine branched on "
+                  "`self._workers is (not) None` at 21 sites and on its "
+                  "vectored-wire flag at 5, so every transaction-path "
+                  "change had to be made (and measured) twice")
+
+    _MODULE = "repro.engine.engine"
+    _CLASS = "Engine"
+    _FRAGMENTS = ("workers", "vectored", "standbys")
+    _TOPOLOGY_TYPES = frozenset({"RemoteShardClient"})
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.name != self._MODULE:
+            return
+        tree = module.tree
+        assert isinstance(tree, ast.Module)
+        for owner in tree.body:
+            if not isinstance(owner, ast.ClassDef) or owner.name != self._CLASS:
+                continue
+            for method in owner.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and method.name != "__init__":
+                    yield from self._check_method(module, method)
+
+    def _check_method(self, module: ModuleInfo,
+                      method: ast.AST) -> Iterator[Finding]:
+        for node in ast.walk(method):
+            if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+                tests = [node.test]
+            elif isinstance(node, ast.comprehension):
+                tests = node.ifs
+            else:
+                continue
+            for test in tests:
+                culprit = self._topology_test(test)
+                if culprit is not None:
+                    yield self._finding(
+                        module, test,
+                        f"Engine.{method.name} branches on topology "
+                        f"({culprit}) — only __init__ may know where the "
+                        f"shards live; put the behaviour behind the shard "
+                        f"backends' shared surface")
+
+    @classmethod
+    def _topology_test(cls, test: ast.AST) -> str | None:
+        for node in ast.walk(test):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name is not None and any(fragment in name.lower()
+                                        for fragment in cls._FRAGMENTS):
+                return name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                for checked in ast.walk(node.args[1]):
+                    type_name = checked.attr if isinstance(checked, ast.Attribute) \
+                        else checked.id if isinstance(checked, ast.Name) else ""
+                    if type_name.endswith("Backend") \
+                            or type_name in cls._TOPOLOGY_TYPES:
+                        return f"isinstance(..., {type_name})"
+        return None
+
+
 #: The rule set ``repro-lint`` runs, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     ErrorRegistryRule(),
@@ -702,6 +780,7 @@ ALL_RULES: tuple[Rule, ...] = (
     RoundTripLoopRule(),
     ReplayApplierRule(),
     PlanViaCacheRule(),
+    ModeFreeEngineRule(),
 )
 
 

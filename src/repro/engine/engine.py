@@ -41,16 +41,18 @@ fixes the serialisation point, and only then are the shards' undo logs
 discarded and the locks released.  ``shards=1`` (the default) degenerates to
 the familiar single-manager behaviour with the same code path.
 
-The engine is optionally *distributed*: ``shard_workers=N`` spawns one
-``python -m repro.sharding.worker`` process per shard — each owning its
-shard's store partition, lock manager, undo log and WAL — and routes
-locking, execution and two-phase commit through the participant RPC layer
-(:mod:`repro.sharding.rpc`).  The engine's own store becomes a *planning
-mirror*: single-shard operations ship to the owning worker in one round
-trip (method bodies run on the worker's cores — the multi-core path) and
-the applied writes are echoed back; cross-shard operations execute here
-against a store front that reads/writes fields through the owning workers.
-An unreachable worker is a typed
+Where the shards live is a *shard backend*'s business
+(:mod:`repro.sharding.backends`), chosen once by the constructor:
+in-process shards by default, or — ``shard_workers=N`` — one
+``python -m repro.sharding.worker`` process per shard, each owning its
+shard's store partition, lock manager, undo log and WAL, with locking,
+execution and two-phase commit routed through the participant RPC layer
+(:mod:`repro.sharding.rpc`).  The engine's own store then becomes a
+*planning mirror*: single-shard operations ship to the owning worker in one
+round trip (method bodies run on the worker's cores — the multi-core path)
+and cross-shard operations execute here against the mirror, their writes
+riding the next message to each shard.  Nothing in the transaction path
+below asks which backend it got.  An unreachable worker is a typed
 :class:`~repro.errors.ParticipantUnavailable`: a no vote during prepare,
 a tolerated completion during phase two (the durable decision log already
 fixed the outcome, and the worker finishes the transaction from it when
@@ -65,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
-import signal as signal_module
 import threading
 import time
 from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
@@ -76,18 +77,15 @@ from repro.analysis.sanitizer import (
     sanitize_from_env,
 )
 from repro.analysis.coverage import lock_covers
-from repro.api.messages import request_for_operation
 from repro.core.commutativity import EscrowUpdate, evaluate_escrow_delta
 from repro.engine.detector import DeadlockDetector
-from repro.engine.locks import USE_DEFAULT_TIMEOUT, BlockingLockManager
+from repro.engine.locks import USE_DEFAULT_TIMEOUT
 from repro.engine.metrics import EngineMetrics
-from repro.obs.histogram import LatencyHistogram
 from repro.obs.tracing import Span, TraceContext, Tracer, write_chrome_trace
 from repro.engine.session import Session
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
-    ParticipantUnavailable,
     TransactionError,
     TwoPhaseCommitError,
 )
@@ -95,11 +93,16 @@ from repro.locking.modes import EscrowMode
 from repro.objects.interpreter import Interpreter, default_builtins
 from repro.objects.oid import OID
 from repro.objects.store import ObjectStore
+from repro.sharding.backends import (
+    LocalShardBackend,
+    WorkerShardBackend,
+    hot_entries,
+)
 from repro.sharding.locks import ShardedLockFront
 from repro.sharding.recovery import ShardedRecoveryManager
 from repro.sharding.router import HashShardRouter, ShardRouter
 from repro.sharding.rpc import DEFAULT_PARTICIPANT_TIMEOUT, RemoteShardClient
-from repro.sharding.twopc import ShardParticipant, TwoPhaseCommitCoordinator
+from repro.sharding.twopc import TwoPhaseCommitCoordinator
 from repro.sim.workload import TransactionSpec
 from repro.txn.escrow import EscrowLedger
 from repro.txn.operations import MethodCall, Operation
@@ -113,7 +116,6 @@ from repro.txn.transaction import Transaction, TransactionState
 from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint
 from repro.wal.durability import Durability
 from repro.wal.log import DecisionLog, WriteAheadLog
-from repro.wal.records import InstanceCreated, InstanceDeleted
 
 T = TypeVar("T")
 
@@ -122,6 +124,10 @@ T = TypeVar("T")
 #: store, so two rounds normally reach the fixpoint; the bound guards against
 #: a pathological workload growing the store faster than it can be planned.
 _MAX_REPLAN_ROUNDS = 16
+
+#: The span of an untraced stage and the scope of an unsanitized operation:
+#: one shared, stateless null context instead of one allocation per stage.
+_NO_SCOPE = contextlib.nullcontext()
 
 
 class Engine:
@@ -141,7 +147,6 @@ class Engine:
                  worker_options: Mapping[str, Any] | None = None,
                  replicas: int = 0,
                  participant_timeout: float = DEFAULT_PARTICIPANT_TIMEOUT,
-                 vectored_rpc: bool = True,
                  tracer: Tracer | None = None,
                  sanitize: bool | None = None,
                  escrow: bool = False) -> None:
@@ -166,10 +171,20 @@ class Engine:
                 raise ValueError(f"shards={shards} disagrees with "
                                  f"shard_workers={shard_workers}")
         self._router = self._resolve_router(shards, router)
-        num_shards = self._router.num_shards
-        if shard_workers is not None and num_shards != shard_workers:
+        if (shard_workers is not None
+                and self._router.num_shards != shard_workers):
             raise ValueError(f"shard_workers={shard_workers} disagrees with "
-                             f"the router's {num_shards} shards")
+                             f"the router's {self._router.num_shards} shards")
+        self._durability = durability if durability is not None else Durability.off()
+        if replicas < 0:
+            raise ValueError(f"replicas must be >= 0, got {replicas}")
+        if replicas:
+            if shard_workers is None:
+                raise ValueError("standby replicas need shard worker mode "
+                                 "(pass shard_workers)")
+            if not self._durability.enabled:
+                raise ValueError("standby replicas replay the WAL stream; "
+                                 "run with durability lazy or fsync")
         #: Original begin timestamp per live incarnation (wait-die victim age).
         self._origins: dict[int, int] = {}
         #: Live sessions by transaction id — the registry the API dispatcher
@@ -177,109 +192,60 @@ class Engine:
         #: session's thread only, via CPython-atomic dict operations.
         self._sessions: dict[int, Session] = {}
         self._api: Any = None
-        #: Out-of-process mode: one RemoteShardClient per shard worker, or
-        #: ``None`` for the classic everything-in-this-interpreter engine.
-        self._workers: tuple[RemoteShardClient, ...] | None = None
-        self._worker_processes: list[Any] = []
-        self._durability = durability if durability is not None else Durability.off()
-        #: Hot-standby topology: ``replicas`` standby workers per shard,
-        #: each continuously replaying its primary's shipped WAL stream.
-        #: :meth:`failover` promotes one and re-admits it without restart.
-        self._replicas = int(replicas)
-        self._standbys: list[list[RemoteShardClient]] = []
-        self._failovers = 0
-        if self._replicas < 0:
-            raise ValueError(f"replicas must be >= 0, got {replicas}")
-        if self._replicas:
-            if shard_workers is None:
-                raise ValueError("standby replicas need shard worker mode "
-                                 "(pass shard_workers)")
-            if not self._durability.enabled:
-                raise ValueError("standby replicas replay the WAL stream; "
-                                 "run with durability lazy or fsync")
-        self._wals: tuple[WriteAheadLog | None, ...] = (None,) * num_shards
+        self.metrics = EngineMetrics()
         self._decision_log: DecisionLog | None = None
-        self._checkpointer: CheckpointManager | None = None
-        #: Escrow admission was asked for; the ledger exists only in-process
-        #: (worker partitions cannot merge deltas yet — requests there are
-        #: counted as fallbacks instead).
-        self._escrow_requested = bool(escrow)
-        self._escrow: EscrowLedger | None = None
         if self._durability.enabled:
-            self._durability.prepare_directory(num_shards)
+            self._durability.prepare_directory(self._router.num_shards)
             self._decision_log = DecisionLog(
                 self._durability.decisions_path,
                 sync_on_commit=self._durability.fsync,
                 group_window=self._durability.group_commit_window)
-        if shard_workers is None:
-            if self._durability.enabled:
-                self._wals = tuple(
-                    WriteAheadLog(self._durability.wal_path(shard_id),
-                                  sync_on_barrier=self._durability.fsync)
-                    for shard_id in range(num_shards))
-            shard_managers = [
-                BlockingLockManager(protocol.create_lock_manager(),
-                                    default_timeout=default_lock_timeout)
-                for _ in range(num_shards)
-            ]
-            self._locks = ShardedLockFront(shard_managers, self._router,
-                                           victim_key=self._victim_age)
-            self._recovery = ShardedRecoveryManager(self._store, self._router,
-                                                    wals=self._wals)
-            participants: Sequence[Any] = [
-                ShardParticipant(shard_id,
-                                 self._recovery.shard_manager(shard_id),
-                                 wal=self._wals[shard_id])
-                for shard_id in range(num_shards)
-            ]
-        else:
-            # Each shard runs in its own OS process: the shard's store
-            # partition, lock manager, undo log and WAL live in the worker;
-            # this engine keeps a *mirror* store (its own protocol store,
-            # populated identically) for planning, plus mirror undo logs so
-            # plans keep seeing current values (see _execute_remote).
-            participants = self._spawn_workers(
-                shard_workers, worker_options,
-                default_lock_timeout=default_lock_timeout,
-                participant_timeout=participant_timeout)
-            self._workers = tuple(participants)
-            self._locks = ShardedLockFront(list(participants), self._router,
-                                           victim_key=self._victim_age)
-            self._recovery = ShardedRecoveryManager(self._store, self._router,
-                                                    wals=None)
+            self._decision_log.on_barrier = (
+                lambda seconds: self.metrics.record_latency("barrier", seconds))
+        #: Where the shards live — the only place topology is decided.  The
+        #: backend owns the per-shard lock handles, undo logs, participants
+        #: and logs; everything below talks to it without asking its kind.
+        try:
+            if shard_workers is None:
+                self._backend: Any = LocalShardBackend(
+                    protocol, self._router, durability=self._durability,
+                    decision_log=self._decision_log,
+                    default_lock_timeout=default_lock_timeout,
+                    victim_key=self._victim_age, metrics=self.metrics)
+            else:
+                self._backend = WorkerShardBackend(
+                    protocol, self._router, worker_options=worker_options,
+                    replicas=int(replicas), durability=self._durability,
+                    decision_log=self._decision_log,
+                    default_lock_timeout=default_lock_timeout,
+                    participant_timeout=participant_timeout,
+                    victim_key=self._victim_age, metrics=self.metrics)
+        except BaseException:
+            if self._decision_log is not None:
+                self._decision_log.close()
+            raise
+        self._locks: ShardedLockFront = self._backend.locks
+        self._recovery: ShardedRecoveryManager = self._backend.recovery
         self._coordinator = TwoPhaseCommitCoordinator(
-            participants, decision_log=self._decision_log)
-        if self._durability.enabled and shard_workers is None:
-            self._checkpointer = CheckpointManager(
-                self._store, self._router, self._recovery,
-                [wal for wal in self._wals if wal is not None],
-                self._durability, decision_log=self._decision_log,
-                extra_pending=self._escrow_pending)
-            # The base checkpoint: instances created before the engine
-            # existed (population) are durable from the very first moment —
-            # the WAL only ever has to carry field updates.  (In worker mode
-            # each worker writes its own partition's base checkpoint.)
-            self._checkpointer.checkpoint()
-            if self._durability.checkpoint_interval is not None:
-                self._checkpointer.start(self._durability.checkpoint_interval)
-        interpreter_store: Any = self._store
+            self._backend.participants, decision_log=self._decision_log)
+        #: The coordinator's tolerated-unavailable count lands in the metrics.
+        self._coordinator.on_unavailable = self.metrics.record_unavailable
+        execution_store: Any = self._backend.execution_store
         if self._sanitizer is not None:
-            interpreter_store = SanitizedStoreFront(self._store,
-                                                    self._sanitizer)
-        self._interpreter = Interpreter(interpreter_store, builtins=builtins)
+            execution_store = SanitizedStoreFront(execution_store,
+                                                  self._sanitizer)
+        self._interpreter = Interpreter(execution_store, builtins=builtins)
         #: The builtins escrow-delta evaluation and snapshot interpreters
         #: share with the main interpreter (delta expressions may call them).
         self._builtins_arg = dict(builtins) if builtins else None
         self._merged_builtins = dict(default_builtins())
         if builtins:
             self._merged_builtins.update(builtins)
-        if self._escrow_requested and self._workers is None:
-            # Apply writes through the sanitized front when sanitizing, so
-            # every escrow merge is coverage-checked against its EscrowMode
-            # lock; undo reversals run outside any operation scope and pass
-            # through (exactly like the recovery manager's image restores).
-            self._escrow = EscrowLedger(interpreter_store, self._router,
-                                        num_shards, wals=self._wals)
+        #: Escrow admission was asked for; whether a ledger exists is the
+        #: backend's call (without one, eligible requests count as fallbacks).
+        self._escrow_requested = bool(escrow)
+        self._escrow: EscrowLedger | None = (
+            self._backend.enable_escrow(execution_store) if escrow else None)
         #: Memoized structural lock plans (the hot path's dict hit).
         self._plans = PlanCache(protocol)
         #: Bumped by structural changes (create/delete); part of the
@@ -288,26 +254,6 @@ class Engine:
         #: ``(key, interpreter)`` of the last built read-only snapshot.
         self._snapshot_cache: tuple[tuple[int, int], Interpreter] | None = None
         self._snapshot_mutex = threading.Lock()
-        #: One-round-trip mode (worker engines only): vectored acquire
-        #: batches, fused single-shard plan+execute, mirror-backed
-        #: cross-shard reads and deferred writes that piggyback on prepare.
-        #: ``vectored_rpc=False`` keeps the classic one-RPC-per-step wire
-        #: behaviour for A/B measurement.
-        self._vectored = bool(vectored_rpc) and self._workers is not None
-        #: Deferred before-images per transaction per shard, flushed with
-        #: the next Execute to that shard or staged onto its Prepare.
-        self._deferred_images: dict[int, dict[int, list]] = {}
-        self._remote_interpreter: Interpreter | None = None
-        self._remote_front: _WorkerStoreFront | None = None
-        if self._workers is not None:
-            self._remote_front = _WorkerStoreFront(
-                self._store, self._router, self._workers,
-                deferred=self._vectored)
-            remote_store: Any = self._remote_front
-            if self._sanitizer is not None:
-                remote_store = SanitizedStoreFront(remote_store,
-                                                   self._sanitizer)
-            self._remote_interpreter = Interpreter(remote_store)
         self._ids = itertools.count(1)
         self._max_retries = max_retries
         self._backoff_base = backoff_base
@@ -316,23 +262,6 @@ class Engine:
         self._rng_mutex = threading.Lock()
         self._commit_mutex = threading.Lock()
         self._commit_log: list[tuple[int, str]] = []
-        self.metrics = EngineMetrics()
-        #: Observability wiring: the coordinator's tolerated-unavailable
-        #: count, barrier durations (decision log and local WALs) and worker
-        #: RPC round trips all land in the engine's metrics/histograms.
-        self._coordinator.on_unavailable = self.metrics.record_unavailable
-        record_barrier = (
-            lambda seconds: self.metrics.record_latency("barrier", seconds))
-        if self._decision_log is not None:
-            self._decision_log.on_barrier = record_barrier
-        for wal in self._wals:
-            if wal is not None:
-                wal.on_barrier = record_barrier
-        if self._workers is not None:
-            for client in self._workers:
-                client.on_rpc = (
-                    lambda seconds: self.metrics.record_latency("rpc", seconds))
-                client.on_request = self.metrics.record_rpc_requests
         #: Tracing: off unless a tracer is injected.  Root spans of live
         #: traced transactions, by txn id (session-thread confined).
         self._tracer = tracer
@@ -366,215 +295,24 @@ class Engine:
                              f"{router.num_shards} shards")
         return router
 
-    def _spawn_workers(self, shard_workers: int,
-                       worker_options: Mapping[str, Any] | None, *,
-                       default_lock_timeout: float | None,
-                       participant_timeout: float,
-                       ) -> list[RemoteShardClient]:
-        """Spawn one shard worker process per shard and connect clients.
-
-        ``worker_options`` carries what the engine cannot derive: the
-        deterministic population every worker must rebuild (``schema`` name,
-        ``instances`` per class, ``populate_seed``) — it must match how this
-        engine's own store was populated, or plans and partitions disagree.
-        Each worker's ``hello`` answer is checked against the expectation.
-        """
-        from repro.sharding import worker as worker_module
-
-        options = dict(worker_options or {})
-        spawn_options = {
-            "protocol": options.pop(
-                "protocol", getattr(type(self._protocol), "name",
-                                    type(self._protocol).__name__)),
-            "schema": options.pop("schema", "banking"),
-            "instances": int(options.pop("instances", 4)),
-            "populate_seed": int(options.pop("populate_seed", 11)),
-            # None passes through: wait-forever means the same thing on
-            # both sides of the process boundary.
-            "lock_timeout": options.pop("lock_timeout", default_lock_timeout),
-            "durability": self._durability.mode,
-        }
-        if self._durability.enabled:
-            spawn_options["wal_dir"] = self._durability.root
-        if options:
-            raise ValueError(f"unknown worker options {sorted(options)}")
-        clients: list[RemoteShardClient] = []
-        try:
-            for shard_id in range(shard_workers):
-                # Standbys first: the primary's shipper wants their
-                # addresses at spawn time so streaming starts immediately.
-                standbys: list[RemoteShardClient] = []
-                for slot in range(self._replicas):
-                    process, address = worker_module.spawn(
-                        shard_id=shard_id, shards=shard_workers,
-                        role="standby", standby_slot=slot, **spawn_options)
-                    self._worker_processes.append(process)
-                    standbys.append(RemoteShardClient(
-                        shard_id, address,
-                        participant_timeout=participant_timeout,
-                        lock_timeout=spawn_options["lock_timeout"]))
-                self._standbys.append(standbys)
-                process, address = worker_module.spawn(
-                    shard_id=shard_id, shards=shard_workers,
-                    ship_to=[standby.address for standby in standbys],
-                    **spawn_options)
-                self._worker_processes.append(process)
-                clients.append(RemoteShardClient(
-                    shard_id, address,
-                    participant_timeout=participant_timeout,
-                    lock_timeout=spawn_options["lock_timeout"]))
-            for client, role in ([(client, "primary") for client in clients]
-                                 + [(standby, "standby")
-                                    for shard in self._standbys
-                                    for standby in shard]):
-                answer = client.hello()
-                for key, expected in (("shard", client.shard_id),
-                                      ("shards", shard_workers),
-                                      ("role", role),
-                                      ("protocol", spawn_options["protocol"]),
-                                      ("schema", spawn_options["schema"]),
-                                      ("instances", spawn_options["instances"]),
-                                      ("populate_seed",
-                                       spawn_options["populate_seed"])):
-                    if answer.get(key) != expected:
-                        raise ValueError(
-                            f"worker {client.shard_id} answered "
-                            f"{key}={answer.get(key)!r}, expected "
-                            f"{expected!r}")
-            # The handshake above proves the workers match the *options*;
-            # this proves the options match the engine's actual mirror
-            # store — a mis-populated mirror would otherwise corrupt
-            # silently (plans and partitions disagreeing on values).
-            merged: dict[str, Any] = {}
-            for client in clients:
-                merged.update(client.snapshot())
-            mirror = {str(instance.oid): dict(instance.values)
-                      for instance in self._store}
-            if merged != mirror:
-                raise ValueError(
-                    "the workers' partitions disagree with the engine's "
-                    "store — worker_options (schema/instances/populate_seed) "
-                    "must describe exactly how the engine's store was "
-                    "populated")
-        except BaseException:
-            self._teardown_workers(clients)
-            if self._decision_log is not None:
-                self._decision_log.close()
-            raise
-        return clients
-
-    def _teardown_workers(self, clients: Sequence[RemoteShardClient]) -> None:
-        for client in clients:
-            client.shutdown()
-            client.close()
-        for standbys in self._standbys:
-            for client in standbys:
-                client.shutdown()
-                client.close()
-        self._standbys.clear()
-        for process in self._worker_processes:
-            if process.poll() is None:
-                process.send_signal(signal_module.SIGTERM)
-        for process in self._worker_processes:
-            try:
-                process.wait(timeout=10.0)
-            except Exception:
-                process.kill()
-                process.wait()
-        self._worker_processes.clear()
-
-    # -- failover and re-admission ------------------------------------------------
+    # -- topology (the backend's business) ------------------------------------------
 
     def failover(self, shard_id: int) -> dict[str, Any]:
-        """Promote ``shard_id``'s standby and re-admit it as the primary.
-
-        The standby runs the same presumed-abort resolution crash recovery
-        uses — over its own replayed log, against the coordinator's durable
-        decision log, so every in-flight transaction the dead primary left
-        behind is redone (durable commit record) or undone (none) — then
-        flips to the primary role.  This *running* engine re-points the
-        shard's RPC client at it (coordinator, lock front and store front
-        all route through that one client object) and resyncs the planning
-        mirror from the promoted partition, so new work flows without an
-        engine restart; transactions that lost locks with the old primary
-        abort and retry through the usual machinery.
-
-        Returns the worker's promotion report (the recovery summary).
+        """Promote ``shard_id``'s standby and re-admit it as the primary
+        (:meth:`WorkerShardBackend.failover`); returns the promotion report.
 
         Raises:
             TransactionError: not in worker mode, or no standby to promote.
         """
         self._ensure_open()
-        if self._workers is None:
-            raise TransactionError("failover requires shard worker mode")
-        if not 0 <= shard_id < len(self._workers):
-            raise ValueError(f"unknown shard {shard_id}")
-        standbys = (self._standbys[shard_id]
-                    if shard_id < len(self._standbys) else [])
-        if not standbys:
-            raise TransactionError(
-                f"shard {shard_id} has no standby to promote")
-        standby = standbys.pop(0)
-        try:
-            answer = standby.promote()
-            address = standby.address
-        finally:
-            standby.close()
-        self.readmit_worker(shard_id, address=address)
-        self._failovers += 1
-        return answer
+        return self._backend.failover(shard_id)
 
     def readmit_worker(self, shard_id: int,
                        address: tuple[str, int] | None = None) -> dict[str, Any]:
-        """Re-admit a promoted or restarted worker into the running engine.
-
-        Retargets the shard's :class:`RemoteShardClient` when the worker
-        moved (``address``), verifies the hello handshake the same way the
-        original spawn did, and resyncs the planning mirror's partition
-        from the worker's snapshot so plans see the recovered values.
-        Returns the hello answer (which carries the recovery or promotion
-        report, when there is one).
-        """
+        """Re-admit a promoted or restarted worker into the running engine
+        (:meth:`WorkerShardBackend.readmit_worker`); returns its hello."""
         self._ensure_open()
-        if self._workers is None:
-            raise TransactionError(
-                "worker re-admission requires shard worker mode")
-        client = self._workers[shard_id]
-        if address is not None:
-            client.retarget((str(address[0]), int(address[1])))
-        answer = client.hello()
-        for key, expected in (("shard", shard_id), ("role", "primary"),
-                              ("shards", len(self._workers))):
-            if answer.get(key) != expected:
-                raise ValueError(
-                    f"re-admitted worker for shard {shard_id} answered "
-                    f"{key}={answer.get(key)!r}, expected {expected!r}")
-        self._resync_mirror(shard_id, client.snapshot())
-        return answer
-
-    def _resync_mirror(self, shard_id: int,
-                       snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Overwrite the mirror's partition with the worker's ground truth.
-
-        The promoted (or recovered) partition is the authority; whatever
-        the mirror held for that shard — including writes of transactions
-        whose fate the failover changed — is replaced wholesale.
-        """
-        seen: set[OID] = set()
-        for oid_text, values in snapshot.items():
-            class_name, _, number = oid_text.partition("#")
-            oid = OID(class_name=class_name, number=int(number))
-            seen.add(oid)
-            if oid in self._store:
-                instance = self._store.get(oid)
-                for name, value in values.items():
-                    instance.set(name, value)
-            else:
-                self._store.restore_instance(oid, class_name, dict(values))
-        for instance in list(self._store):
-            if (instance.oid not in seen
-                    and self._router.shard_of_oid(instance.oid) == shard_id):
-                self._store.delete(instance.oid)
+        return self._backend.readmit_worker(shard_id, address=address)
 
     def _touched_shards(self, txn: int) -> list[int]:
         """The shards ``txn`` locked or wrote on, sorted (2PC participant set).
@@ -599,10 +337,6 @@ class Engine:
         long transaction from being re-victimised on every retry.
         """
         return (self._origins.get(txn, txn), txn)
-
-    def _escrow_pending(self, shard_id: int) -> tuple[int, ...]:
-        """The escrow ledger's keep-set contribution for one shard's checkpoint."""
-        return () if self._escrow is None else self._escrow.pending(shard_id)
 
     # -- life cycle -------------------------------------------------------------
 
@@ -679,11 +413,7 @@ class Engine:
             return
         with self._maybe_span(root, "commit", "txn",
                               {"shards": list(touched)}) as commit_span:
-            if self._vectored:
-                # Remaining deferred images/writes piggyback on each
-                # shard's prepare message — staged locally, zero extra
-                # round trips.
-                self._stage_deferred(txn, touched)
+            self._backend.stage_prepare(txn, touched)
             try:
                 if commit_span is None:
                     self._coordinator.prepare(txn, touched)
@@ -708,16 +438,7 @@ class Engine:
                 self._coordinator.complete_commit(
                     txn, touched,
                     trace=None if two is None else two.context().to_wire())
-            if self._workers is not None:
-                # Remote participants dropped their own undo logs in phase
-                # two; the mirror copies are dropped here.
-                self._recovery.forget(txn)
-            else:
-                self._recovery.discard_tracking(txn)
-            if self._escrow is not None:
-                # The commit decision is durable: the deltas are final and
-                # their WAL records may be released to the next checkpoint.
-                self._escrow.forget(txn)
+            self._backend.committed(txn)
             with self._maybe_span(commit_span, "lock-release", "lock"):
                 if self._sanitizer is not None:
                     self._sanitizer.note_release(txn)
@@ -744,29 +465,11 @@ class Engine:
         root = self._traces.get(txn)
         with self._maybe_span(root, "abort", "txn",
                               {"shards": list(touched)}) as abort_span:
-            if self._vectored:
-                # Unflushed deferred state never reached the workers: their
-                # partitions are untouched by it, so dropping the buffers
-                # is the whole worker-side undo; the engine-side undo below
-                # restores the mirror (clients' staged payloads are cleared
-                # by their abort calls).
-                self._drop_deferred(txn)
             self._coordinator.abort(
                 txn, touched,
                 trace=None if abort_span is None
                 else abort_span.context().to_wire())
-            if self._workers is not None:
-                # The workers restored their partitions; restore the mirror
-                # the same way (still under this transaction's locks).
-                self._recovery.undo(txn)
-            else:
-                self._recovery.discard_tracking(txn)
-            if self._escrow is not None:
-                # Inverse-apply after the image restores: a field that got
-                # an ordinary write after an escrow merge had its image
-                # capture the delta, so the restore re-establishes it and
-                # the inverse below still nets the field back to base.
-                self._escrow.undo(txn)
+            self._backend.aborted(txn)
             transaction.state = TransactionState.ABORTED
             if self._sanitizer is not None:
                 self._sanitizer.note_release(txn)
@@ -779,18 +482,12 @@ class Engine:
             self._tracer.end_span(root)
 
     def close(self) -> None:
-        """Stop the detector, checkpointer and workers; close the logs.
-        Idempotent."""
+        """Stop the detector and the shard backend (checkpointer, workers,
+        shard logs); close the decision log.  Idempotent."""
         if not self._closed:
             self._closed = True
             self._detector.stop()
-            if self._checkpointer is not None:
-                self._checkpointer.stop()
-            if self._workers is not None:
-                self._teardown_workers(self._workers)
-            for wal in self._wals:
-                if wal is not None:
-                    wal.close()
+            self._backend.close()
             if self._decision_log is not None:
                 self._decision_log.close()
 
@@ -832,8 +529,7 @@ class Engine:
             results = self._perform_snapshot(transaction, operation, root)
             if results is not None:
                 return results
-            # Worker mode: the snapshot machinery needs the partitions in
-            # this process — fall through to the ordinary locked path.
+            # No snapshot source in this process: the ordinary locked path.
         plan = self._plan(operation)
         transaction.stats.control_points += plan.control_points
         if self._escrow is not None and not transaction.read_only:
@@ -841,24 +537,20 @@ class Engine:
                                          timeout, root)
             if results is not None:
                 return results
-        elif (self._escrow_requested and self._workers is not None
-              and isinstance(operation, MethodCall)
+        elif (self._escrow_requested and isinstance(operation, MethodCall)
               and self._escrow_update_for(operation) is not None):
             self.metrics.record_escrow_fallback()
-        if self._vectored:
-            shard_id = self._fused_shard(plan)
-            if shard_id is not None:
-                results = self._perform_fused(transaction, operation, plan,
-                                              shard_id, timeout, root)
-                if results is not None:
-                    return results
-                # Fallback: the worker's replan escaped the shard.  Its
-                # partial acquisitions were recorded; the classic path
-                # below re-requests them (an immediate grant) and carries
-                # the operation through the cross-shard machinery.
+        shard_id = self._backend.fused_shard(plan)
+        if shard_id is not None:
+            results = self._perform_fused(transaction, operation, plan,
+                                          shard_id, timeout, root)
+            if results is not None:
+                return results
+            # Fallback: the shard's replan escaped it.  Its partial
+            # acquisitions were recorded; the path below re-requests them
+            # (an immediate grant) and runs the operation here.
         plan = self._acquire_plan(transaction, plan, operation, timeout,
                                   root=root)
-        transaction.stats.operations += 1
         projections = self._protocol.undo_projections(plan)
         for oid, fields in projections:
             self._recovery.log_before_image(transaction.txn_id, oid, fields)
@@ -867,15 +559,17 @@ class Engine:
             scope: Any = self._sanitizer.operation_scope(
                 transaction.txn_id, plan)
         else:
-            scope = contextlib.nullcontext()
-        with self._maybe_span(root, f"execute:{operation.method}",
-                              "exec") as span, scope:
-            if self._workers is None:
-                results = self._protocol.execute(operation, self._interpreter)
-            else:
-                results = self._execute_remote(
-                    transaction.txn_id, operation, plan, projections,
-                    trace=None if span is None else span.context().to_wire())
+            scope = _NO_SCOPE
+        with self._maybe_span(root, f"execute:{operation.method}", "exec"), \
+                scope, self._backend.executing(transaction.txn_id,
+                                               projections):
+            results = self._protocol.execute(operation, self._interpreter)
+        return self._performed(transaction, operation, results)
+
+    def _performed(self, transaction: Transaction, operation: Operation,
+                   results: list[Any]) -> list[Any]:
+        """Book one executed operation on the transaction and the metrics."""
+        transaction.stats.operations += 1
         self.metrics.record_operation()
         transaction.executed.append(operation)
         transaction.results.extend(results)
@@ -887,31 +581,16 @@ class Engine:
                       root: Span | None = None) -> LockPlan:
         acquired: set[tuple[Any, Any]] = set()
         for _ in range(_MAX_REPLAN_ROUNDS):
-            pending = [request for request in plan.requests
+            pending = [(request.resource, request.mode)
+                       for request in plan.requests
                        if (request.resource, request.mode) not in acquired]
-            if self._vectored and len(pending) > 1:
-                # Vectored mode: the whole round goes out grouped by shard,
-                # one acquire-batch RPC per worker shard instead of one
-                # round trip per lock.
-                self._acquire_round(transaction, pending, timeout, root,
-                                    acquired)
-            else:
-                for request in pending:
-                    transaction.stats.lock_requests += 1
-                    try:
-                        waited = self._acquire_one(transaction.txn_id, request,
-                                                   timeout, root)
-                    except LockTimeoutError as error:
-                        self.metrics.record_timeout()
-                        self.metrics.record_requests(1, error.waited)
-                        raise
-                    except DeadlockError as error:
-                        self.metrics.record_requests(1, error.waited)
-                        raise
-                    self.metrics.record_requests(1, waited)
-                    if waited > 0.0:
-                        transaction.stats.waits += 1
-                    acquired.add((request.resource, request.mode))
+            # A whole round goes to the lock front at once: it groups the
+            # requests by shard and ships each group the cheapest way the
+            # shard's handle supports (one acquire-batch RPC per worker
+            # shard instead of one round trip per lock).
+            if pending:
+                self._acquire_round(transaction, pending, timeout, root)
+            acquired.update(pending)
             refreshed = self._plan(operation)
             extra = tuple(r for r in refreshed.requests
                           if (r.resource, r.mode) not in acquired)
@@ -928,73 +607,59 @@ class Engine:
             f"lock plan of {operation!r} did not converge within "
             f"{_MAX_REPLAN_ROUNDS} refresh rounds")
 
-    def _acquire_one(self, txn: int, request: Any,
-                     timeout: float | None | object,
-                     root: Span | None) -> float:
-        """One blocking acquisition, wrapped in a ``lock`` span when traced.
-
-        The span covers the whole blocking call — its duration *is* the
-        lock's critical-path cost — and the measured wait lands in its args
-        so queueing time is distinguishable from grant overhead.
-        """
-        if root is None:
-            waited = self._locks.acquire(txn, request.resource, request.mode,
-                                         timeout)
-            if self._sanitizer is not None:
-                self._sanitizer.note_acquire(txn, request.resource,
-                                             request.mode)
-            return waited
-        with self._tracer.span("lock", root.trace_id, parent=root.span_id,
-                               category="lock",
-                               args={"resource": str(request.resource),
-                                     "mode": str(request.mode)}) as span:
-            waited = self._locks.acquire(txn, request.resource, request.mode,
-                                         timeout,
-                                         trace=span.context().to_wire())
-            span.args["waited_ms"] = round(waited * 1000, 3)
-            if self._sanitizer is not None:
-                self._sanitizer.note_acquire(txn, request.resource,
-                                             request.mode)
-            return waited
-
-    def _acquire_round(self, transaction: Transaction, requests: Sequence[Any],
-                       timeout: float | None | object, root: Span | None,
-                       acquired: set[tuple[Any, Any]]) -> None:
-        """One vectored plan round: ship every pending request at once.
-
-        Metrics, stats and sanitizer notes match the per-request path.  On
-        a mid-batch deadlock/timeout nothing is added to ``acquired`` —
-        the caller aborts, and ``release_all`` (the batch marked its shards
-        touched before any RPC) frees whatever the workers granted.
-        """
-        txn = transaction.txn_id
-        pairs = [(request.resource, request.mode) for request in requests]
-        transaction.stats.lock_requests += len(pairs)
-        try:
-            with self._maybe_span(root, "lock-batch", "lock",
-                                  {"requests": len(pairs)}) as span:
-                waits = self._locks.acquire_many(
-                    txn, pairs, timeout,
-                    trace=None if span is None else span.context().to_wire())
-                if span is not None:
-                    # Same contract as the per-request ``lock`` span: the
-                    # queueing time (summed over the batch) is separable
-                    # from grant overhead when reading the trace.
-                    span.args["waited_ms"] = round(sum(waits) * 1000, 3)
-        except LockTimeoutError as error:
+    def _lock_failed(self, error: LockTimeoutError | DeadlockError) -> None:
+        """Account a lock wait that ended in a timeout or a victim abort."""
+        if isinstance(error, LockTimeoutError):
             self.metrics.record_timeout()
-            self.metrics.record_requests(1, error.waited)
-            raise
-        except DeadlockError as error:
-            self.metrics.record_requests(1, error.waited)
-            raise
-        for (resource, mode), waited in zip(pairs, waits):
+        self.metrics.record_requests(1, error.waited)
+
+    def _granted(self, transaction: Transaction,
+                 pairs: Sequence[tuple[Any, Any]],
+                 waits: Sequence[float]) -> None:
+        """Account granted ``(resource, mode)`` requests and their waits
+        (metrics, stats, sanitizer) — the uncontended ones in one call."""
+        blocked = [waited for waited in waits if waited > 0.0]
+        transaction.stats.lock_requests += len(pairs)
+        transaction.stats.waits += len(blocked)
+        self.metrics.record_requests(len(pairs) - len(blocked), 0.0)
+        for waited in blocked:
             self.metrics.record_requests(1, waited)
-            if waited > 0.0:
-                transaction.stats.waits += 1
-            if self._sanitizer is not None:
-                self._sanitizer.note_acquire(txn, resource, mode)
-            acquired.add((resource, mode))
+        if self._sanitizer is not None:
+            for resource, mode in pairs:
+                self._sanitizer.note_acquire(transaction.txn_id, resource,
+                                             mode)
+
+    def _acquire_round(self, transaction: Transaction,
+                       pairs: Sequence[tuple[Any, Any]],
+                       timeout: float | None | object,
+                       root: Span | None) -> None:
+        """One round of ``(resource, mode)`` lock requests, shipped to the
+        lock front at once.
+
+        The ``lock-batch`` span covers the whole blocking call — its
+        duration *is* the round's critical-path cost — and names the
+        resources; the measured wait (summed over the batch) lands in its
+        args so queueing time is separable from grant overhead.  On a
+        mid-batch deadlock/timeout the caller aborts, and ``release_all``
+        (the front marked the shards touched before any request went out)
+        frees whatever was granted.
+        """
+        try:
+            with self._maybe_span(root, "lock-batch", "lock") as span:
+                trace = None
+                if span is not None:
+                    span.args["resources"] = [str(resource)
+                                              for resource, _mode in pairs]
+                    trace = span.context().to_wire()
+                waits = self._locks.acquire_many(transaction.txn_id, pairs,
+                                                 timeout, trace=trace)
+                if span is not None:
+                    span.args["waited_ms"] = round(sum(waits) * 1000, 3)
+        except (LockTimeoutError, DeadlockError) as error:
+            transaction.stats.lock_requests += len(pairs)
+            self._lock_failed(error)
+            raise
+        self._granted(transaction, pairs, waits)
 
     # -- the analysis's runtime payoff ---------------------------------------------
 
@@ -1089,35 +754,19 @@ class Engine:
         if escrow_plan is None:
             self.metrics.record_escrow_fallback()
             return None
-        for request in escrow_plan.requests:
-            transaction.stats.lock_requests += 1
-            try:
-                waited = self._acquire_one(txn, request, timeout, root)
-            except LockTimeoutError as error:
-                self.metrics.record_timeout()
-                self.metrics.record_requests(1, error.waited)
-                raise
-            except DeadlockError as error:
-                self.metrics.record_requests(1, error.waited)
-                raise
-            self.metrics.record_requests(1, waited)
-            if waited > 0.0:
-                transaction.stats.waits += 1
-        transaction.stats.operations += 1
+        self._acquire_round(
+            transaction, [(request.resource, request.mode)
+                          for request in escrow_plan.requests], timeout, root)
         if self._sanitizer is not None:
             self._sanitizer.note_images(txn, ((oid, (update.field,)),))
             scope: Any = self._sanitizer.operation_scope(txn, escrow_plan)
         else:
-            scope = contextlib.nullcontext()
+            scope = _NO_SCOPE
         with self._maybe_span(root, f"escrow:{operation.method}",
                               "exec"), scope:
             self._escrow.apply(txn, oid, update.field, delta)
-        self.metrics.record_operation()
         self.metrics.record_escrow_admit()
-        transaction.executed.append(operation)
-        results: list[Any] = [None]
-        transaction.results.extend(results)
-        return results
+        return self._performed(transaction, operation, [None])
 
     def _perform_snapshot(self, transaction: Transaction,
                           operation: Operation,
@@ -1127,21 +776,18 @@ class Engine:
         Zero lock acquisitions, zero undo images: the operation executes
         against a committed-state copy shared by every read-only
         transaction at the same ``(commits, structural epoch)`` point.
-        Returns ``None`` in worker mode (the partitions live elsewhere) —
-        the caller falls through to the ordinary locked path.
+        Returns ``None`` when the backend has no snapshot source (the
+        partitions live elsewhere) — the caller falls through to the
+        ordinary locked path.
         """
-        if self._workers is not None:
+        if self._backend.snapshot_source is None:
             self.metrics.record_snapshot_fallback()
             return None
         interpreter = self._snapshot_interpreter()
         with self._maybe_span(root, f"snapshot:{operation.method}", "exec"):
             results = self._protocol.execute(operation, interpreter)
-        transaction.stats.operations += 1
-        self.metrics.record_operation()
         self.metrics.record_snapshot_read()
-        transaction.executed.append(operation)
-        transaction.results.extend(results)
-        return results
+        return self._performed(transaction, operation, results)
 
     def _snapshot_interpreter(self) -> Interpreter:
         """The cached committed-state interpreter for the current point.
@@ -1177,7 +823,7 @@ class Engine:
         """
         snapshot = ObjectStore(self._store.schema)
         for oid, class_name, values in sorted(
-                self._store.snapshot_instances(),
+                self._backend.snapshot_source.snapshot_instances(),
                 key=lambda entry: entry[0].number):
             snapshot.restore_instance(oid, class_name, dict(values))
         restored: set[tuple[OID, str]] = set()
@@ -1212,173 +858,35 @@ class Engine:
         return (session is not None
                 and session.transaction.state is TransactionState.COMMITTED)
 
-    # -- worker-mode execution -----------------------------------------------------
-
-    def _fused_shard(self, plan: LockPlan) -> int | None:
-        """The single shard the plan routes to entirely, or ``None``.
-
-        Both the lock resources and the receiver instances must live on one
-        shard for the fused path — the worker acquires the locks itself, so
-        an off-shard resource would be unservable there.
-        """
-        shards: set[int] = set()
-        for request in plan.requests:
-            shards.add(self._router.shard_of_resource(request.resource))
-            if len(shards) > 1:
-                return None
-        for oid, _method in plan.receivers:
-            shards.add(self._router.shard_of_oid(oid))
-            if len(shards) > 1:
-                return None
-        return next(iter(shards)) if shards else None
-
     def _perform_fused(self, transaction: Transaction, operation: Operation,
                        plan: LockPlan, shard_id: int,
                        timeout: float | None | object,
                        root: Span | None) -> list[Any] | None:
-        """Ship plan+locks+execution to the owning worker in one trip.
+        """Let the owning shard plan, lock and run the operation in one trip.
 
-        Returns the results, or ``None`` when the worker answered the
-        fallback reply (its replan escaped the shard) — either way the
-        locks the worker granted are recorded here first, so abort and
-        the classic path both see them.
+        Returns the results, or ``None`` when the shard answered the
+        fallback reply (its replan escaped it) — either way the locks it
+        granted are booked here first, so abort and the ordinary path both
+        see them.
         """
-        txn = transaction.txn_id
-        client = self._workers[shard_id]
-        # Touched before the RPC: a deadlock/timeout raised mid-fused still
-        # has this shard's partial grants released by the abort.
-        self._locks.note_touched(txn, shard_id)
-        images, writes = self._take_deferred(txn, shard_id)
-        call = request_for_operation(txn, operation)
         try:
             with self._maybe_span(root, f"execute-fused:{operation.method}",
                                   "exec") as span:
-                outcome = client.execute_fused(
-                    txn, call, images, writes, timeout,
-                    expected_locks=len(plan.requests),
+                outcome = self._backend.execute_fused(
+                    transaction.txn_id, shard_id, operation, plan, timeout,
                     trace=None if span is None else span.context().to_wire())
-        except LockTimeoutError as error:
-            self.metrics.record_timeout()
-            self.metrics.record_requests(1, error.waited)
+        except (LockTimeoutError, DeadlockError) as error:
+            self._lock_failed(error)
             raise
-        except DeadlockError as error:
-            self.metrics.record_requests(1, error.waited)
-            raise
-        for resource, mode, waited in outcome.resources:
-            transaction.stats.lock_requests += 1
-            self.metrics.record_requests(1, waited)
-            if waited > 0.0:
-                transaction.stats.waits += 1
-            if self._sanitizer is not None:
-                self._sanitizer.note_acquire(txn, resource, mode)
+        self._granted(transaction,
+                      [(resource, mode)
+                       for resource, mode, _waited in outcome.resources],
+                      [waited for _resource, _mode, waited in outcome.resources])
         if outcome.fallback:
             return None
-        # Mirror bookkeeping in write-ahead order: log the worker-computed
-        # before-images into the mirror undo log, then echo the writes.
-        for oid, fields in outcome.images:
-            self._recovery.log_before_image(txn, oid, fields)
         if self._sanitizer is not None:
-            self._sanitizer.note_images(txn, outcome.images)
-        self._mirror_writes(outcome.writes)
-        transaction.stats.operations += 1
-        self.metrics.record_operation()
-        transaction.executed.append(operation)
-        transaction.results.extend(outcome.results)
-        return outcome.results
-
-    def _buffer_images(self, txn: int, shard_id: int,
-                       images: Sequence[tuple[OID, tuple[str, ...]]]) -> None:
-        self._deferred_images.setdefault(txn, {}).setdefault(
-            shard_id, []).extend(images)
-
-    def _take_deferred(self, txn: int,
-                       shard_id: int) -> tuple[list, list]:
-        """Pop this transaction's buffered images and writes for one shard."""
-        images = self._deferred_images.get(txn, {}).pop(shard_id, [])
-        writes = ([] if self._remote_front is None
-                  else self._remote_front.take_writes(txn, shard_id))
-        return images, writes
-
-    def _stage_deferred(self, txn: int, touched: Sequence[int]) -> None:
-        """Stage remaining deferred state onto each shard's next prepare."""
-        for shard_id in touched:
-            images, writes = self._take_deferred(txn, shard_id)
-            if images or writes:
-                self._workers[shard_id].stage_prepare(txn, images, writes)
-        # Buffered state always sits on touched shards (every write is
-        # lock-covered); drop the empty bookkeeping either way.
-        self._drop_deferred(txn)
-
-    def _drop_deferred(self, txn: int) -> None:
-        self._deferred_images.pop(txn, None)
-        if self._remote_front is not None:
-            self._remote_front.drop(txn)
-
-    def _execute_remote(self, txn: int, operation: Operation, plan: LockPlan,
-                        projections: Sequence[tuple[OID, tuple[str, ...]]],
-                        trace: object = None) -> list[Any]:
-        """Execute ``operation`` against the shard workers.
-
-        Two paths, chosen by where the plan's receivers live:
-
-        * **single-shard** (the common case under OID-hash routing — one
-          instance, its self-directed sends, its same-shard references):
-          the whole operation ships to the owning worker in one round trip;
-          the worker logs the before-images, runs the method bodies on its
-          own partition, and returns the results plus the writes it
-          applied, which are echoed into the mirror store;
-        * **cross-shard** (extents, domains, references crossing shards):
-          the write plan is sent to every touched worker first (the
-          write-ahead rule per worker), then the method bodies run *here*
-          against a store front that reads and writes fields through the
-          owning workers, echoing writes into the mirror.
-
-        The mirror invariant both paths maintain: for any field a
-        transaction holds a lock on, the mirror value equals the worker
-        value — writers echo synchronously before their locks are released,
-        so plans (which re-derive under held locks) never see stale data.
-        """
-        assert self._workers is not None
-        by_shard: dict[int, list[tuple[OID, tuple[str, ...]]]] = {}
-        for oid, fields in projections:
-            if fields:
-                shard_id = self._router.shard_of_oid(oid)
-                by_shard.setdefault(shard_id, []).append((oid, fields))
-        if self._vectored:
-            # Deferred-write mode — every operation the fused path did not
-            # already run on its worker executes here with *zero* data-plane
-            # RPCs: the images ride the shards' prepares, reads come from
-            # the mirror (the mirror invariant guarantees parity under the
-            # held locks) and writes buffer per shard until the next fused
-            # execute on that shard flushes them or its prepare piggybacks
-            # them.
-            assert self._remote_interpreter is not None
-            assert self._remote_front is not None
-            for shard_id, images in by_shard.items():
-                self._buffer_images(txn, shard_id, images)
-            with self._remote_front.transaction(txn):
-                return self._protocol.execute(operation,
-                                              self._remote_interpreter)
-        receiver_shards = {self._router.shard_of_oid(oid)
-                           for oid, _method in plan.receivers}
-        if len(receiver_shards) == 1:
-            (shard_id,) = receiver_shards
-            call = request_for_operation(txn, operation)
-            images = by_shard.get(shard_id, [])
-            results, writes = self._workers[shard_id].execute(
-                txn, call, images, trace=trace)
-            self._mirror_writes(writes)
-            return results
-        assert self._remote_interpreter is not None
-        for shard_id, images in by_shard.items():
-            self._workers[shard_id].write_plan(txn, images, trace=trace)
-        return self._protocol.execute(operation, self._remote_interpreter)
-
-    def _mirror_writes(self, writes: Sequence[tuple[OID, Mapping[str, Any]]]) -> None:
-        for oid, values in writes:
-            instance = self._store.get(oid)
-            for name, value in values.items():
-                instance.set(name, value)
+            self._sanitizer.note_images(transaction.txn_id, outcome.images)
+        return self._performed(transaction, operation, outcome.results)
 
     # -- retrying wrappers --------------------------------------------------------
 
@@ -1453,36 +961,10 @@ class Engine:
     def checkpoint(self) -> list[ShardCheckpoint]:
         """Take a fuzzy checkpoint of every shard now (durability must be on).
 
-        In worker mode every worker checkpoints its own partition; the
-        decision log is then compacted with the usual snapshot-decided-first
-        ordering (a transaction deciding concurrently is not in the snapshot
-        and survives).
-
         Raises:
             TransactionError: the engine runs without durability.
         """
-        if self._workers is not None and self._durability.enabled:
-            decided: set[int] = set()
-            if self._decision_log is not None:
-                decided = {record.txn
-                           for record in self._decision_log.decisions()}
-            mentioned: set[int] = set()
-            results: list[ShardCheckpoint] = []
-            for client in self._workers:
-                kept = [int(txn) for txn in
-                        client.checkpoint().get("kept", ())]
-                mentioned.update(kept)
-                results.append(ShardCheckpoint(
-                    shard_id=client.shard_id, instances=-1,
-                    active=tuple(sorted(kept)), records_kept=len(kept),
-                    records_dropped=-1))
-            if self._decision_log is not None and decided - mentioned:
-                self._decision_log.compact(decided - mentioned)
-            return results
-        if self._checkpointer is None:
-            raise TransactionError("the engine runs with durability off; "
-                                   "there is nothing to checkpoint")
-        return self._checkpointer.checkpoint()
+        return self._backend.checkpoint()
 
     def create_instance(self, class_name: str, **field_values: Any) -> Any:
         """Create an instance mid-epoch, structurally durable when logging is on.
@@ -1497,16 +979,7 @@ class Engine:
             TransactionError: in worker mode — the partitions live in other
                 processes and the workers do not serve structural changes.
         """
-        if self._workers is not None:
-            raise TransactionError("shard workers do not serve mid-epoch "
-                                   "instance creation yet")
-        instance = self._store.create(class_name, **field_values)
-        wal = self._wals[self._router.shard_of_oid(instance.oid)]
-        if wal is not None:
-            wal.append(InstanceCreated(oid=instance.oid,
-                                       class_name=instance.class_name,
-                                       values=dict(instance.values)))
-            wal.barrier()
+        instance = self._backend.create_instance(class_name, **field_values)
         self._note_structural_change()
         return instance
 
@@ -1521,15 +994,7 @@ class Engine:
         Raises:
             TransactionError: in worker mode (see :meth:`create_instance`).
         """
-        if self._workers is not None:
-            raise TransactionError("shard workers do not serve mid-epoch "
-                                   "instance deletion yet")
-        self._store.get(oid)  # raise before logging for an unknown OID
-        wal = self._wals[self._router.shard_of_oid(oid)]
-        if wal is not None:
-            wal.append(InstanceDeleted(oid=oid))
-            wal.barrier()
-        self._store.delete(oid)
+        self._backend.delete_instance(oid)
         self._note_structural_change()
 
     def _note_structural_change(self) -> None:
@@ -1547,28 +1012,18 @@ class Engine:
     @property
     def checkpointer(self) -> CheckpointManager | None:
         """The checkpoint manager, when durability is on."""
-        return self._checkpointer
+        return self._backend.checkpointer
 
     @property
     def wals(self) -> tuple[WriteAheadLog | None, ...]:
         """The per-shard write-ahead logs (``None`` entries when off)."""
-        return self._wals
+        return self._backend.wals
 
     @property
     def wal_bytes_written(self) -> int:
-        """Total bytes appended to every shard WAL plus the decision log.
-
-        In worker mode the shard WALs live in the worker processes, so
-        their byte counts are fetched over RPC (a dead worker contributes
-        nothing — its count died with it).
-        """
-        total = sum(wal.bytes_written for wal in self._wals if wal is not None)
-        if self._workers is not None:
-            for client in self._workers:
-                try:
-                    total += int(client.hello().get("wal_bytes", 0))
-                except ParticipantUnavailable:
-                    continue
+        """Total bytes appended to every shard WAL plus the decision log
+        (shard WALs living in worker processes are asked over RPC)."""
+        total = self._backend.wal_bytes()
         if self._decision_log is not None:
             total += self._decision_log.bytes_written
         return total
@@ -1584,7 +1039,7 @@ class Engine:
         instrumented stage goes through here.
         """
         if parent is None:
-            return contextlib.nullcontext(None)
+            return _NO_SCOPE
         return self._tracer.span(name, parent.trace_id,
                                  parent=parent.span_id, category=category,
                                  args=args)
@@ -1604,15 +1059,12 @@ class Engine:
         return None if root is None else root.context()
 
     def collect_trace(self) -> list[Span]:
-        """Every span recorded so far: the engine's own plus, in worker
-        mode, each reachable worker's (drained — they ship once)."""
+        """Every span recorded so far: the engine's own plus whatever the
+        backend's shards recorded in their own processes."""
         spans: list[Span] = []
         if self._tracer is not None:
             spans.extend(self._tracer.spans)
-        if self._workers is not None:
-            for client in self._workers:
-                spans.extend(Span.from_wire(document)
-                             for document in client.drain_spans())
+        spans.extend(self._backend.drain_spans())
         return spans
 
     def export_trace(self, path: Any,
@@ -1625,118 +1077,28 @@ class Engine:
         return write_chrome_trace(path, spans)
 
     def cluster_metrics(self) -> dict[str, Any]:
-        """One cluster-wide metrics snapshot.
-
-        In-process this is :meth:`EngineMetrics.snapshot`; in worker mode
-        the workers' WAL byte counts and barrier histograms are merged in —
-        fsync time paid in a worker process is commit-path cost exactly
-        like fsync time paid here.  Worker *lock-wait* histograms are NOT
-        merged: the engine already recorded every wait via the acquire
-        replies (``reply.waited``), so merging would double-count; the
-        per-shard view stays available through :meth:`stats`.  An
-        unreachable worker contributes nothing.
-        """
-        snapshot = self.metrics.snapshot()
-        if self._workers is None:
-            return snapshot
-        merged = {name: LatencyHistogram.from_snapshot(document)
-                  for name, document in snapshot["histograms"].items()}
-        for client in self._workers:
-            try:
-                payload = client.metrics_snapshot()
-            except ParticipantUnavailable:
-                continue
-            snapshot["wal_bytes"] += int(payload.get("wal_bytes", 0))
-            worker_histograms = payload.get("metrics", {}).get("histograms", {})
-            barrier = worker_histograms.get("barrier")
-            if barrier:
-                merged["barrier"].merge(
-                    LatencyHistogram.from_snapshot(barrier))
-        snapshot["histograms"] = {name: histogram.snapshot()
-                                  for name, histogram in merged.items()}
-        return snapshot
+        """One cluster-wide metrics snapshot: :meth:`EngineMetrics.snapshot`
+        with whatever the backend's shards measured out of process (worker
+        WAL bytes and barrier histograms) merged in."""
+        return self._backend.merge_cluster_metrics(self.metrics.snapshot())
 
     def stats(self, top: int = 8) -> dict[str, Any]:
         """The per-shard breakdown behind the flat metrics snapshot.
 
         Per shard: deadlock victims doomed there, WAL bytes, and the
         hottest resources by accumulated lock-wait time; plus the merged
-        cluster-wide hot list (top ``top``) and the coordinator's
-        tolerated-unavailable count.  In worker mode the numbers come from
-        each worker's ``metrics`` RPC (an unreachable worker is reported,
-        not guessed at).
+        cluster-wide hot list (top ``top``), standby health and the
+        coordinator's tolerated-unavailable count.
         """
         victim_counts = self._locks.victim_counts()
-        per_shard: list[dict[str, Any]] = []
-        hot: list[tuple[str, int, float]] = []
-        if self._workers is None:
-            for shard_id, manager in enumerate(self._locks.shards):
-                wal = self._wals[shard_id]
-                resources = [(str(resource), waits, wait_time)
-                             for resource, waits, wait_time
-                             in manager.hot_resources(top)]
-                hot.extend(resources)
-                per_shard.append({
-                    "shard": shard_id,
-                    "deadlock_victims": victim_counts[shard_id],
-                    "wal_bytes": 0 if wal is None else wal.bytes_written,
-                    "hot_resources": [
-                        {"resource": name, "waits": waits,
-                         "wait_time": round(wait_time, 6)}
-                        for name, waits, wait_time in resources],
-                })
-        else:
-            for shard_id, client in enumerate(self._workers):
-                try:
-                    payload = client.metrics_snapshot()
-                except ParticipantUnavailable:
-                    per_shard.append({"shard": shard_id, "unreachable": True})
-                    continue
-                resources = [(str(name), int(waits), float(wait_time))
-                             for name, waits, wait_time
-                             in payload.get("hot_resources", ())]
-                hot.extend(resources)
-                entry = {
-                    "shard": shard_id,
-                    "deadlock_victims": int(payload.get(
-                        "deadlock_victims", victim_counts[shard_id])),
-                    "wal_bytes": int(payload.get("wal_bytes", 0)),
-                    "hot_resources": [
-                        {"resource": name, "waits": waits,
-                         "wait_time": round(wait_time, 6)}
-                        for name, waits, wait_time in resources],
-                    "metrics": payload.get("metrics", {}),
-                }
-                if payload.get("role") is not None:
-                    entry["role"] = payload["role"]
-                # The primary's shipper view: per-standby lag (LSNs and
-                # seconds), stream health, frames shipped.
-                if payload.get("replication") is not None:
-                    entry["replication"] = payload["replication"]
-                per_shard.append(entry)
-        standby_health: list[dict[str, Any]] = []
-        for shard_id, standbys in enumerate(self._standbys):
-            for client in standbys:
-                try:
-                    payload = client.metrics_snapshot()
-                except ParticipantUnavailable:
-                    standby_health.append({"shard": shard_id,
-                                           "unreachable": True})
-                    continue
-                standby_health.append({
-                    "shard": shard_id,
-                    "standby": payload.get("standby"),
-                })
+        per_shard, hot = self._backend.shard_stats(top, victim_counts)
         hot.sort(key=lambda entry: entry[2], reverse=True)
         return {
             "shards": per_shard,
-            "replicas": self._replicas,
-            "failovers": self._failovers,
-            "standbys": standby_health,
-            "hot_resources": [
-                {"resource": name, "waits": waits,
-                 "wait_time": round(wait_time, 6)}
-                for name, waits, wait_time in hot[:max(0, top)]],
+            "replicas": self._backend.replicas,
+            "failovers": self._backend.failovers,
+            "standbys": self._backend.standby_stats(),
+            "hot_resources": hot_entries(hot[:max(0, top)]),
             "deadlock_victims": {
                 str(shard_id): count
                 for shard_id, count in enumerate(victim_counts)},
@@ -1753,44 +1115,36 @@ class Engine:
     # -- the command layer --------------------------------------------------------
 
     def store_state(self) -> dict[str, dict[str, Any]]:
-        """Every live instance's fields, keyed by OID string.
+        """Every live instance's fields, keyed by OID string — the ground
+        truth for verification and the ``StoreState`` control plane, read
+        from wherever the backend's authoritative partitions live."""
+        return self._backend.store_state()
 
-        The ground truth for verification and the ``StoreState`` control
-        plane: in-process it is a walk of the store; in worker mode it is
-        the merge of every worker's *own partition* — the mirror store is a
-        planning replica, not the authority.
-        """
-        if self._workers is not None:
-            merged: dict[str, dict[str, Any]] = {}
-            for client in self._workers:
-                merged.update(client.snapshot())
-            return merged
-        return {str(instance.oid): dict(instance.values)
-                for instance in self._store}
+    @property
+    def backend(self) -> Any:
+        """The shard backend (:mod:`repro.sharding.backends`) — topology,
+        worker processes and per-shard state live there."""
+        return self._backend
 
     @property
     def shard_clients(self) -> tuple[RemoteShardClient, ...] | None:
         """The per-shard RPC clients in worker mode (``None`` otherwise)."""
-        return self._workers
+        return self._backend.shard_clients
 
     @property
     def standby_clients(self) -> tuple[tuple[RemoteShardClient, ...], ...]:
-        """Per-shard standby RPC clients (empty without replicas).
-
-        A promoted standby leaves this list — after a failover its client
-        is retargeted into :attr:`shard_clients` instead.
-        """
-        return tuple(tuple(standbys) for standbys in self._standbys)
+        """Per-shard standby RPC clients (empty without replicas)."""
+        return self._backend.standby_clients
 
     @property
     def replicas(self) -> int:
         """Standby workers per shard this engine was built with."""
-        return self._replicas
+        return self._backend.replicas
 
     @property
     def failovers(self) -> int:
         """How many standby promotions this engine has performed."""
-        return self._failovers
+        return self._backend.failovers
 
     def session_for(self, txn_id: int) -> Session | None:
         """The live session driving ``txn_id``, or ``None`` once finished.
@@ -1914,94 +1268,3 @@ class _ReadOnlyStoreFront:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._store, name)
-
-
-class _WorkerStoreFront:
-    """The store the cross-shard remote interpreter executes against.
-
-    Identity questions (does the OID exist, what is its class) are answered
-    from the mirror — membership is fixed after population in worker mode.
-    Field access depends on the mode:
-
-    * **eager** (``deferred=False``, the classic wire behaviour): reads and
-      writes go to the owning worker, one RPC per field, with writes echoed
-      into the mirror so planning keeps seeing current values;
-    * **deferred** (the vectored-RPC engine): reads come from the mirror —
-      sound because every field the interpreter touches is lock-covered,
-      and the mirror invariant (mirror value == worker value for any locked
-      field) holds from the startup snapshot check onward — and writes go
-      to the mirror plus a per-transaction per-shard buffer the engine
-      flushes with the next Execute to that shard or piggybacks on its
-      prepare.  A cross-shard execution then costs zero data-plane RPCs.
-
-    Implements exactly the surface
-    :class:`~repro.objects.interpreter.Interpreter` touches.
-    """
-
-    def __init__(self, mirror: Any, router: ShardRouter,
-                 workers: "Sequence[RemoteShardClient]", *,
-                 deferred: bool = False) -> None:
-        self._mirror = mirror
-        self._router = router
-        self._workers = tuple(workers)
-        self._deferred = deferred
-        #: The transaction whose cross-shard execution this thread is
-        #: driving (sessions are single-threaded, so thread-local is the
-        #: right confinement for the write attribution).
-        self._local = threading.local()
-        #: txn -> shard -> [(oid, field, value)] buffered writes.  Mutated
-        #: only by the owning transaction's session thread.
-        self._buffers: dict[int, dict[int, list[tuple[OID, str, Any]]]] = {}
-
-    @contextlib.contextmanager
-    def transaction(self, txn: int):
-        """Attribute this thread's writes to ``txn`` for the scope."""
-        self._local.txn = txn
-        try:
-            yield
-        finally:
-            self._local.txn = None
-
-    @property
-    def schema(self) -> Any:
-        return self._mirror.schema
-
-    def get(self, oid: OID) -> Any:
-        return self._mirror.get(oid)
-
-    def __contains__(self, oid: OID) -> bool:
-        return oid in self._mirror
-
-    def read_field(self, oid: OID, field_name: str) -> Any:
-        if self._deferred:
-            return self._mirror.read_field(oid, field_name)
-        return self._workers[self._router.shard_of_oid(oid)].read_field(
-            oid, field_name)
-
-    def write_field(self, oid: OID, field_name: str, value: Any) -> None:
-        if self._deferred:
-            txn = getattr(self._local, "txn", None)
-            if txn is None:
-                raise TransactionError(
-                    "deferred write outside a transaction scope — "
-                    "cross-shard execution must run under "
-                    "_WorkerStoreFront.transaction()")
-            shard_id = self._router.shard_of_oid(oid)
-            self._buffers.setdefault(txn, {}).setdefault(
-                shard_id, []).append((oid, field_name, value))
-            self._mirror.write_field(oid, field_name, value)
-            return
-        self._workers[self._router.shard_of_oid(oid)].write_field(
-            oid, field_name, value)
-        self._mirror.write_field(oid, field_name, value)
-
-    def take_writes(self, txn: int, shard_id: int) -> list[tuple[OID, str, Any]]:
-        """Pop the buffered writes of ``txn`` destined for ``shard_id``."""
-        per_shard = self._buffers.get(txn)
-        if not per_shard:
-            return []
-        return per_shard.pop(shard_id, [])
-
-    def drop(self, txn: int) -> None:
-        """Forget every buffered write of ``txn`` (abort, or post-stage)."""
-        self._buffers.pop(txn, None)

@@ -776,7 +776,6 @@ def write_bench_json(path: str, results: Sequence[HarnessResult],
             "durability": arguments.durability,
             "transport": arguments.transport,
             "pipeline": getattr(arguments, "pipeline", False),
-            "vectored_rpc": not getattr(arguments, "no_vectored_rpc", False),
             "addr": arguments.addr,
             "max_in_flight": arguments.max_in_flight,
             "verified": not arguments.no_verify,
@@ -864,12 +863,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "(O(1) client round trips; deadlock/timeout "
                              "retries run server-side) instead of one frame "
                              "per command — the batched wire path")
-    parser.add_argument("--no-vectored-rpc", action="store_true",
-                        help="with --shard-workers: disable the vectored "
-                             "worker RPCs (batched lock acquisition, fused "
-                             "plan+execute, deferred cross-shard writes) and "
-                             "fall back to one RPC per operation — the A/B "
-                             "baseline for BENCH_roundtrips.json")
     parser.add_argument("--addr", metavar="HOST:PORT", default=None,
                         help="with --transport socket: use this running "
                              "server instead of spawning one (it must serve "
@@ -946,9 +939,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not 0.0 <= arguments.read_mix <= 1.0:
         parser.error(f"--read-mix must be within [0, 1], "
                      f"got {arguments.read_mix}")
-    if arguments.no_vectored_rpc and arguments.transport != "inproc":
-        parser.error("--no-vectored-rpc configures the engine in this "
-                     "process; it needs --transport inproc")
     if arguments.shard_workers is not None:
         if arguments.shard_workers < 1:
             parser.error(f"--shard-workers must be at least 1, "
@@ -1026,9 +1016,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                              **({"sanitize": True} if arguments.sanitize
                                 else {}),
                              **({"escrow": True} if arguments.escrow
-                                else {}),
-                             **({"vectored_rpc": False}
-                                if arguments.no_vectored_rpc else {}))
+                                else {}))
         results.append(result)
     print(format_throughput_table(results))
     if arguments.replicas:

@@ -185,7 +185,7 @@ class BlockingLockManager:
     #
     # A sharded front-end (repro.sharding.locks.ShardedLockFront) runs cycle
     # detection over the *union* of many managers' waits-for graphs and then
-    # dooms the victims in every shard.  These three methods are the pieces
+    # dooms the victims in every shard.  These two methods are the pieces
     # detect() is made of, exposed so the coordinator can interleave them.
 
     def collect_edges(self) -> dict[TxnId, set[TxnId]]:
@@ -221,21 +221,6 @@ class BlockingLockManager:
                 self._victims += len(relevant)
                 self._changed.notify_all()
             return tuple(relevant)
-
-    def clear_doom(self, txn: TxnId) -> None:
-        """Forget a doom flag without releasing anything (victim finished).
-
-        The unsynchronised membership probe is safe because :meth:`doom`
-        only ever marks a transaction with a request queued *in this shard*
-        (checked under the mutex), and a transaction that reached release
-        time has no queued request anywhere — grants, timeouts and victim
-        aborts all withdraw before returning.  No doom flag can therefore
-        appear concurrently with this call; the probe can only see a flag
-        set before the release began.
-        """
-        if txn in self._doomed:
-            with self._mutex:
-                self._doomed.pop(txn, None)
 
     # -- introspection ---------------------------------------------------------
 

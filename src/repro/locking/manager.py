@@ -119,17 +119,16 @@ class _ResourceEntry:
 class LockManager:
     """Tracks granted locks and wait queues for one protocol.
 
-    Admission normally runs through precomputed per-resource conflict
-    bitmaps: every mode seen on a resource gets a bit index, conflict rows
-    are filled once from the protocol's compatibility callable, and the
-    steady-state check is ``granted_mask & conflict[mode] == 0`` instead of
-    a scan of holders.  ``use_masks=False`` restores the pure table-lookup
-    scan (kept for A/B benchmarking).
+    Admission runs through precomputed per-resource conflict bitmaps:
+    every mode seen on a resource gets a bit index, conflict rows are
+    filled once from the protocol's compatibility callable, and the
+    steady-state check is ``granted_mask & conflict[mode] == 0``; holders
+    are only scanned to name the blockers of a request the bitmap refused
+    (or when the requester already holds the resource).
     """
 
-    def __init__(self, compatible: CompatibilityFn, *, use_masks: bool = True) -> None:
+    def __init__(self, compatible: CompatibilityFn) -> None:
         self._compatible = compatible
-        self._use_masks = use_masks
         self._entries: dict[Resource, _ResourceEntry] = {}
         self._held_by_txn: dict[TxnId, OrderedDict[Resource, None]] = {}
         self.stats = LockManagerStats()
@@ -307,7 +306,7 @@ class LockManager:
 
     def _blockers(self, entry: _ResourceEntry, txn: TxnId, resource: Resource,
                   mode: Mode) -> list[TxnId]:
-        if self._use_masks and txn not in entry.holders:
+        if txn not in entry.holders:
             # Fast path: every holder is another transaction, so a clear
             # intersection between the granted mask and this mode's conflict
             # row means there is nothing to scan for.

@@ -23,19 +23,23 @@ package removes that funnel:
   the transaction's serialisation point.
 
 :class:`repro.engine.engine.Engine` accepts ``shards=N`` (or adopts the
-router of a sharded store) and wires all of this together; the throughput
+router of a sharded store) and wires all of this together through a
+:class:`~repro.sharding.backends.LocalShardBackend`; the throughput
 harness exposes it as ``python -m repro.engine.harness --shards N``.
 
 Since PR 5 a shard can also live in its **own OS process**:
 :class:`~repro.sharding.participant.ParticipantClient` is the
 transport-agnostic participant interface,
-:mod:`repro.sharding.rpc` carries the participant protocol (locks, write
-plans, execution, 2PC) over the API's frames, and
+:mod:`repro.sharding.rpc` carries the participant protocol (locks, fused
+execution, deferred writes, 2PC) over the API's frames,
 ``python -m repro.sharding.worker`` owns one shard's partition, lock
-manager, undo log and WAL — ``Engine(shard_workers=N)`` /
-``repro-bench --shard-workers N`` is the multi-core configuration.
-(The ``rpc`` and ``worker`` modules are imported on demand, not here: the
-worker pulls in the engine package, which imports this one.)
+manager, undo log and WAL, and
+:class:`~repro.sharding.backends.WorkerShardBackend` owns the cluster of
+them (spawn, standbys, failover, the mirror-backed data plane) —
+``Engine(shard_workers=N)`` / ``repro-bench --shard-workers N`` is the
+multi-core configuration.  (The ``rpc``, ``worker`` and ``backends``
+modules are imported on demand, not here: the worker and the local
+backend pull in the engine package, which imports this one.)
 """
 
 from repro.sharding.router import ClassShardRouter, HashShardRouter, ShardRouter

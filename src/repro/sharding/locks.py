@@ -115,12 +115,9 @@ class ShardedLockFront:
                 shard_id = self._router.shard_of_resource(resource)
                 self._route_cache[resource] = shard_id
             groups.setdefault(shard_id, []).append(index)
-        touched = self._touched.get(txn)
-        if touched is None:
-            touched = self._touched[txn] = set()
         waits = [0.0] * len(requests)
         for shard_id in sorted(groups):
-            touched.add(shard_id)
+            self.note_touched(txn, shard_id)
             shard = self._shards[shard_id]
             indexes = groups[shard_id]
             batch = getattr(shard, "acquire_batch", None)
@@ -152,18 +149,15 @@ class ShardedLockFront:
     # -- releasing -------------------------------------------------------------
 
     def release_all(self, txn: TxnId) -> None:
-        """Release ``txn`` everywhere it locked; clear its doom flags everywhere.
+        """Release ``txn`` on every shard it touched (doom flags included).
 
-        Lock release walks only the shards the transaction touched; doom
-        flags are cleared on every shard because the detector dooms victims
-        globally.
+        Untouched shards hold nothing of ``txn`` — not even a doom flag:
+        :meth:`detect` offers victims to every shard, but a shard only
+        marks a transaction with a request queued *in it*, and every
+        acquire path marks the shard touched before it can queue there.
         """
-        touched = self._touched.pop(txn, ())
-        for shard_id, shard in enumerate(self._shards):
-            if shard_id in touched:
-                shard.release_all(txn)  # also clears that shard's doom flag
-            else:
-                shard.clear_doom(txn)
+        for shard_id in self._touched.pop(txn, ()):
+            self._shards[shard_id].release_all(txn)
 
     def touched_shards(self, txn: TxnId) -> frozenset[int]:
         """The shards ``txn`` has lock state on (2PC participant set)."""

@@ -2,8 +2,9 @@
 
 This module is what lets a shard live in another OS process.  It defines
 the worker-facing message vocabulary — prepare/commit/abort, blocking lock
-traffic, before-image write plans, field reads/writes, whole-operation
-execution, snapshots — and :class:`RemoteShardClient`, the coordinator-side
+traffic (single and batched), fused plan+lock+execute shipment with its
+piggybacked deferred images and writes, snapshots — and
+:class:`RemoteShardClient`, the coordinator-side
 stub that implements three duck-typed surfaces at once:
 
 * the :class:`~repro.sharding.participant.ParticipantClient` commit
@@ -11,13 +12,13 @@ stub that implements three duck-typed surfaces at once:
   drives;
 * the per-shard *lock handle* surface of
   :class:`~repro.engine.locks.BlockingLockManager` (``acquire`` /
-  ``release_all`` / ``collect_edges`` / ``doom`` / ``clear_doom`` / ...),
+  ``release_all`` / ``collect_edges`` / ``doom`` / ...),
   so the existing :class:`~repro.sharding.locks.ShardedLockFront` routes
   blocking lock traffic to workers without knowing they are remote — the
   cross-shard deadlock detector then unions waits-for edges *across
   processes*;
-* the data plane the worker-mode engine uses (write plans, reads, writes,
-  shipped execution, snapshots).
+* the data plane the worker shard backend uses (fused execution, deferred
+  state staged onto prepare, snapshots).
 
 Nothing here invents a codec: values, OIDs, operations and error replies
 ride the exact :mod:`repro.api.messages` machinery (tagged-OID
@@ -240,16 +241,6 @@ class Doom:
 
 
 @dataclass(frozen=True)
-class ClearDoom:
-    """Forget a doom flag for a transaction that finished."""
-
-    txn: int
-
-    type = "w_clear_doom"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
 class Holds:
     """Whether ``txn`` holds (that mode of) ``resource`` here."""
 
@@ -280,44 +271,6 @@ class Doomed:
 
 
 @dataclass(frozen=True)
-class WritePlan:
-    """Log projected before-images (undo + WAL write-through) for ``txn``."""
-
-    txn: int
-    images: Any = ()
-    trace: Any = None
-
-    type = "w_write_plan"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
-class Execute:
-    """Log ``images`` then execute one whole operation on this shard.
-
-    ``operation_json`` is the JSON text of the operation's
-    :mod:`repro.api.messages` call-request wire form — carried opaquely so
-    the envelope codec cannot half-decode it in transit.
-
-    ``writes`` piggybacks field writes the transaction buffered for this
-    shard during earlier cross-shard operations (deferred-write mode).
-    They are applied after the images are logged (the images shipped with
-    them cover every buffered write — the write-ahead rule) and before the
-    operation runs, so the method bodies see this transaction's own prior
-    writes.
-    """
-
-    txn: int
-    operation_json: str
-    images: Any = ()
-    writes: Any = ()
-    trace: Any = None
-
-    type = "w_execute"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
 class ExecuteFused:
     """Fused plan+execute: the worker plans, locks and runs in one trip.
 
@@ -332,12 +285,19 @@ class ExecuteFused:
 
     If a worker-side replan escapes the shard (a refreshed plan needing an
     off-shard resource or receiver), the worker answers a fallback reply
-    listing what it already acquired and the coordinator reverts to the
-    classic path — re-acquiring a held lock is an immediate grant, so the
-    duplication is harmless.
+    listing what it already acquired and the coordinator runs the
+    operation through its cross-shard path — re-acquiring a held lock is
+    an immediate grant, so the duplication is harmless.
 
-    ``images``/``writes`` flush this transaction's buffered state for this
-    shard first, exactly like :class:`Execute`.
+    ``operation_json`` is the JSON text of the operation's
+    :mod:`repro.api.messages` call-request wire form — carried opaquely so
+    the envelope codec cannot half-decode it in transit.
+
+    ``images``/``writes`` flush what the transaction buffered for this
+    shard during earlier cross-shard operations: the images are logged,
+    then the writes they cover are applied (the write-ahead rule), and only
+    then does the operation run — so the method bodies see this
+    transaction's own prior writes.
     """
 
     txn: int
@@ -352,37 +312,13 @@ class ExecuteFused:
 
 
 @dataclass(frozen=True)
-class ReadField:
-    """Read one field of one instance this shard owns."""
-
-    oid: OID
-    field: str
-
-    type = "w_read"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
-class WriteField:
-    """Write one field of one instance this shard owns."""
-
-    oid: OID
-    field: str
-    value: Any = None
-
-    type = "w_write"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
 class Prepare:
     """Phase one: durable vote for ``txn`` (redo images + PREPARED + barrier).
 
     ``images``/``writes`` piggyback the transaction's remaining buffered
-    before-images and field writes for this shard (deferred-write mode):
-    the worker logs the images, applies the writes, and only then votes —
-    one message where the eager path paid a ``WritePlan`` plus one
-    ``WriteField`` per field.  Both are empty on the eager path.
+    before-images and field writes for this shard: the worker logs the
+    images, applies the writes, and only then votes — the flush costs no
+    message of its own.
     """
 
     txn: int
@@ -548,22 +484,11 @@ class Waited:
 
 @dataclass(frozen=True)
 class Value:
-    """A single-value answer (field read, holds probe)."""
+    """A single-value answer (holds probe, batch waits, accepted dooms)."""
 
     value: Any = None
 
     type = "w_value"
-    _tuples = ()
-
-
-@dataclass(frozen=True)
-class Executed:
-    """Results of a shipped operation plus the writes it applied."""
-
-    results: Any = ()
-    writes: Any = ()
-
-    type = "w_executed"
     _tuples = ()
 
 
@@ -599,24 +524,22 @@ class Info:
 
 
 WorkerRequest = (Hello | Acquire | AcquireBatch | ReleaseAll | CollectEdges
-                 | Doom | ClearDoom | Holds | Waiting | Doomed | WritePlan
-                 | Execute | ExecuteFused | ReadField | WriteField | Prepare
+                 | Doom | Holds | Waiting | Doomed | ExecuteFused | Prepare
                  | CommitTxn | AbortTxn | Snapshot | Checkpoint | Metrics
                  | Spans | ReplHello | ReplFrames | ReplReset | Promote
                  | Fault | Shutdown)
-WorkerReply = Ok | Waited | Value | Executed | FusedDone | Info | ErrorReply
+WorkerReply = Ok | Waited | Value | FusedDone | Info | ErrorReply
 
 _REQUEST_TYPES: dict[str, type] = {
     cls.type: cls for cls in (Hello, Acquire, AcquireBatch, ReleaseAll,
-                              CollectEdges, Doom, ClearDoom, Holds, Waiting,
-                              Doomed, WritePlan, Execute, ExecuteFused,
-                              ReadField, WriteField, Prepare, CommitTxn,
-                              AbortTxn, Snapshot, Checkpoint, Metrics, Spans,
+                              CollectEdges, Doom, Holds, Waiting, Doomed,
+                              ExecuteFused, Prepare, CommitTxn, AbortTxn,
+                              Snapshot, Checkpoint, Metrics, Spans,
                               ReplHello, ReplFrames, ReplReset, Promote,
                               Fault, Shutdown)
 }
 _REPLY_TYPES: dict[str, type] = {
-    cls.type: cls for cls in (Ok, Waited, Value, Executed, FusedDone, Info)
+    cls.type: cls for cls in (Ok, Waited, Value, FusedDone, Info)
 }
 #: Failures travel exactly like API failures: a typed ErrorReply whose code
 #: the client rebuilds into the right exception class.
@@ -886,10 +809,9 @@ class RemoteShardClient(ParticipantClient):
                       writes: Sequence[tuple[OID, str, Any]]) -> None:
         """Stage buffered images/writes to ride the next :meth:`prepare`.
 
-        Local bookkeeping only — no round trip.  The engine stages each
-        touched shard's deferred state just before driving phase one, so
-        the flush piggybacks on the prepare message instead of paying its
-        own ``WritePlan``/``WriteField`` trips.
+        Local bookkeeping only — no round trip.  The worker backend stages
+        each touched shard's deferred state just before phase one, so the
+        flush piggybacks on the prepare message.
         """
         self._staged[txn] = (encode_images(images), encode_writes(writes))
 
@@ -906,28 +828,33 @@ class RemoteShardClient(ParticipantClient):
 
     # -- the lock-handle surface (ShardedLockFront duck type) ---------------------
 
-    def acquire(self, txn: int, resource: Hashable, mode: Hashable,
-                timeout: "float | None | object" = USE_DEFAULT_TIMEOUT,
-                trace: Any = None) -> float:
-        """Blocking remote acquire; returns seconds spent blocked.
+    def _lock_rpc_timeout(self, timeout: "float | None | object",
+                          locks: int = 1) -> float | None:
+        """The RPC deadline of a request that blocks on ``locks`` locks.
 
-        The RPC deadline tracks the lock timeout (plus a grace period for
-        the round trip), so a worker that died *while we wait* surfaces as
+        It tracks the lock timeout — one per lock, the worker serves them
+        sequentially — plus a grace period for the round trip, so a worker
+        that died *while we wait* surfaces as
         :class:`~repro.errors.ParticipantUnavailable` rather than a hang —
         unless the lock timeout is ``None`` (wait forever), where only the
         kernel noticing the dead peer ends the wait.
         """
-        effective = timeout
-        if effective is USE_DEFAULT_TIMEOUT:
-            effective = self._lock_timeout
-        rpc_timeout = (None if effective is None
-                       else max(float(effective), 0.0) + _ACQUIRE_GRACE)
+        if timeout is USE_DEFAULT_TIMEOUT:
+            timeout = self._lock_timeout
+        if timeout is None:
+            return None
+        return max(float(timeout), 0.0) * max(1, locks) + _ACQUIRE_GRACE
+
+    def acquire(self, txn: int, resource: Hashable, mode: Hashable,
+                timeout: "float | None | object" = USE_DEFAULT_TIMEOUT,
+                trace: Any = None) -> float:
+        """Blocking remote acquire; returns seconds spent blocked."""
         started = time.perf_counter()
         reply = self._call(
             Acquire(txn=txn, resource=encode_resource(resource),
                     mode=encode_mode(mode), timeout=encode_timeout(timeout),
                     trace=trace),
-            timeout=rpc_timeout, record=False)
+            timeout=self._lock_rpc_timeout(timeout), record=False)
         waited = float(reply.waited)
         if self.on_rpc is not None:
             # Net transport time: the round trip minus the lock wait the
@@ -942,17 +869,8 @@ class RemoteShardClient(ParticipantClient):
         """Vectored acquire: the whole batch in one round trip.
 
         Returns the seconds each request spent blocked, aligned with
-        ``requests``.  The RPC deadline budgets one lock timeout per
-        request (the worker serves them sequentially) plus the usual
-        grace; a ``None`` lock timeout waits forever, as with
-        :meth:`acquire`.
+        ``requests``.
         """
-        effective = timeout
-        if effective is USE_DEFAULT_TIMEOUT:
-            effective = self._lock_timeout
-        rpc_timeout = (None if effective is None
-                       else max(float(effective), 0.0) * max(1, len(requests))
-                       + _ACQUIRE_GRACE)
         started = time.perf_counter()
         reply = self._call(
             AcquireBatch(txn=txn,
@@ -960,7 +878,8 @@ class RemoteShardClient(ParticipantClient):
                                     encode_mode(mode)]
                                    for resource, mode in requests],
                          timeout=encode_timeout(timeout), trace=trace),
-            timeout=rpc_timeout, record=False)
+            timeout=self._lock_rpc_timeout(timeout, len(requests)),
+            record=False)
         waits = [float(waited) for waited in reply.value]
         if self.on_rpc is not None:
             self.on_rpc(max(0.0, time.perf_counter() - started - sum(waits)))
@@ -995,12 +914,6 @@ class RemoteShardClient(ParticipantClient):
             return ()
         return tuple(int(txn) for txn in (reply.value or ()))
 
-    def clear_doom(self, txn: int) -> None:
-        try:
-            self._call(ClearDoom(txn=txn), count=False)
-        except ParticipantUnavailable:
-            pass
-
     def holds(self, txn: int, resource: Hashable,
               mode: Hashable | None = None) -> bool:
         reply = self._call(Holds(
@@ -1023,33 +936,6 @@ class RemoteShardClient(ParticipantClient):
 
     # -- the data plane -----------------------------------------------------------
 
-    def write_plan(self, txn: int,
-                   images: Sequence[tuple[OID, Sequence[str]]],
-                   trace: Any = None) -> None:
-        """Log projected before-images on the worker (undo + WAL), before
-        any write they cover is shipped."""
-        self._call(WritePlan(txn=txn, images=encode_images(images),
-                             trace=trace))
-
-    def execute(self, txn: int, operation_request: Any,
-                images: Sequence[tuple[OID, Sequence[str]]],
-                writes: Sequence[tuple[OID, str, Any]] = (),
-                trace: Any = None,
-                ) -> tuple[list[Any], list[tuple[OID, dict[str, Any]]]]:
-        """Ship a whole single-shard operation: log images, run, return
-        ``(results, writes applied)`` so the coordinator can mirror them.
-
-        ``writes`` flushes this transaction's buffered field writes for the
-        shard in the same message (deferred-write mode)."""
-        reply = self._call(Execute(txn=txn,
-                                   operation_json=encode_operation(
-                                       operation_request),
-                                   images=encode_images(images),
-                                   writes=encode_writes(writes),
-                                   trace=trace))
-        applied = [(oid, dict(values)) for oid, values in reply.writes]
-        return list(reply.results), applied
-
     def execute_fused(self, txn: int, operation_request: Any,
                       images: Sequence[tuple[OID, Sequence[str]]],
                       writes: Sequence[tuple[OID, str, Any]],
@@ -1063,12 +949,6 @@ class RemoteShardClient(ParticipantClient):
         it, and growth past the budget surfaces as
         :class:`~repro.errors.ParticipantUnavailable` rather than a hang).
         """
-        effective = timeout
-        if effective is USE_DEFAULT_TIMEOUT:
-            effective = self._lock_timeout
-        rpc_timeout = (None if effective is None
-                       else max(float(effective), 0.0) * max(1, expected_locks)
-                       + _ACQUIRE_GRACE)
         started = time.perf_counter()
         reply = self._call(
             ExecuteFused(txn=txn,
@@ -1076,7 +956,8 @@ class RemoteShardClient(ParticipantClient):
                          images=encode_images(images),
                          writes=encode_writes(writes),
                          timeout=encode_timeout(timeout), trace=trace),
-            timeout=rpc_timeout, record=False)
+            timeout=self._lock_rpc_timeout(timeout, expected_locks),
+            record=False)
         resources = [(decode_resource(resource), decode_mode(mode),
                       float(waited))
                      for resource, mode, waited in reply.resources]
@@ -1089,14 +970,6 @@ class RemoteShardClient(ParticipantClient):
             writes=[(oid, dict(values)) for oid, values in reply.writes],
             images=decode_images(reply.images),
             resources=resources)
-
-    def read_field(self, oid: OID, field_name: str) -> Any:
-        """Read one field from the owning worker (cross-shard execution)."""
-        return self._call(ReadField(oid=oid, field=field_name)).value
-
-    def write_field(self, oid: OID, field_name: str, value: Any) -> None:
-        """Write one field on the owning worker (cross-shard execution)."""
-        self._call(WriteField(oid=oid, field=field_name, value=value))
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """The worker's own partition as ``{oid-string: field values}``."""

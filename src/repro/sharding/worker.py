@@ -16,12 +16,12 @@ What a worker serves:
 * **locking** — blocking ``acquire`` (the RPC blocks until granted, timed
   out, or doomed), release, and the waits-for edge collection + doom offers
   the coordinator's global deadlock detector drives;
-* **the data plane** — before-image write plans (undo + WAL write-through,
-  honouring the write-ahead rule *before* any covered write arrives),
-  single field reads/writes for cross-shard operations, and whole-operation
-  ``execute`` for single-shard operations: the worker logs the images, runs
-  the method bodies on its own partition with its own interpreter, and
-  returns the results plus the writes it applied;
+* **the data plane** — fused ``execute``: the worker logs any before-images
+  and applies any buffered writes the coordinator flushed with the request
+  (write-ahead order, images first), plans and locks the operation against
+  its own partition, logs the before-images it computed under those locks,
+  runs the method bodies with its own interpreter, and returns the results
+  plus the writes, images and locks for the coordinator to mirror;
 * **two-phase commit** — ``prepare`` (redo images + PREPARED marker +
   barrier, then the yes vote), ``commit``, ``abort``, exactly the
   :class:`~repro.sharding.twopc.ShardParticipant` semantics;
@@ -119,8 +119,6 @@ FAULT_EXIT = 42
 _SPAN_NAMES: dict[type, str] = {
     rpc.Acquire: "shard-acquire",
     rpc.AcquireBatch: "shard-acquire-batch",
-    rpc.WritePlan: "shard-write-plan",
-    rpc.Execute: "shard-execute",
     rpc.ExecuteFused: "shard-execute-fused",
     rpc.Prepare: "shard-prepare",
     rpc.CommitTxn: "shard-commit",
@@ -276,15 +274,10 @@ class ShardWorker:
             rpc.ReleaseAll: self._release_all,
             rpc.CollectEdges: self._collect_edges,
             rpc.Doom: self._doom,
-            rpc.ClearDoom: self._clear_doom,
             rpc.Holds: self._holds,
             rpc.Waiting: self._waiting,
             rpc.Doomed: self._doomed,
-            rpc.WritePlan: self._write_plan,
-            rpc.Execute: self._execute,
             rpc.ExecuteFused: self._execute_fused,
-            rpc.ReadField: self._read_field,
-            rpc.WriteField: self._write_field,
             rpc.Prepare: self._prepare,
             rpc.CommitTxn: self._commit,
             rpc.AbortTxn: self._abort,
@@ -579,25 +572,15 @@ class ShardWorker:
         return rpc.Info(payload=payload)
 
     def _acquire(self, request: rpc.Acquire) -> rpc.Waited:
-        try:
-            waited = self._locks.acquire(request.txn,
-                                         rpc.decode_resource(request.resource),
-                                         rpc.decode_mode(request.mode),
-                                         rpc.decode_timeout(request.timeout))
-        except LockTimeoutError as error:
-            self._metrics.record_timeout()
-            self._metrics.record_requests(1, error.waited)
-            raise
-        except DeadlockError as error:
-            self._metrics.record_requests(1, error.waited)
-            raise
-        self._metrics.record_requests(1, waited)
-        return rpc.Waited(waited=waited)
+        return rpc.Waited(waited=self._acquire_one_local(
+            request.txn, rpc.decode_resource(request.resource),
+            rpc.decode_mode(request.mode),
+            rpc.decode_timeout(request.timeout)))
 
     def _acquire_one_local(self, txn: int, resource: Any, mode: Any,
                            timeout: Any) -> float:
-        """One local blocking acquire with the per-request metrics the
-        single-``Acquire`` handler records, shared by the batched paths."""
+        """One local blocking acquire with its per-request metrics, shared
+        by the single, batched and fused paths."""
         try:
             waited = self._locks.acquire(txn, resource, mode, timeout)
         except LockTimeoutError as error:
@@ -637,10 +620,6 @@ class ShardWorker:
         accepted = self._locks.doom(victims)
         return rpc.Value(value=sorted(accepted))
 
-    def _clear_doom(self, request: rpc.ClearDoom) -> rpc.Ok:
-        self._locks.clear_doom(request.txn)
-        return rpc.Ok()
-
     def _holds(self, request: rpc.Holds) -> rpc.Value:
         mode = None if request.mode is None else rpc.decode_mode(request.mode)
         return rpc.Value(value=self._locks.holds(
@@ -662,10 +641,6 @@ class ShardWorker:
         for oid, fields in images:
             for field in fields:
                 target.add((oid, field))
-
-    def _write_plan(self, request: rpc.WritePlan) -> rpc.Ok:
-        self._log_images(request.txn, request.images)
-        return rpc.Ok()
 
     def _log_images(self, txn: int, wire_images: Any) -> tuple:
         """Log shipped before-images (undo + WAL write-through) for ``txn``."""
@@ -718,18 +693,6 @@ class ShardWorker:
             instance = self._store.get(oid)
             writes.append([oid, {name: instance.get(name) for name in fields}])
         return results, writes
-
-    def _execute(self, request: rpc.Execute) -> rpc.Executed:
-        # Before-images first — the write-ahead rule, same ordering the
-        # in-process engine's perform() follows.  Flushed buffered writes
-        # (covered by those images) apply before the operation runs, so the
-        # method bodies see this transaction's earlier cross-shard writes.
-        self._log_images(request.txn, request.images)
-        self._apply_writes(request.txn, request.writes)
-        call = request_from_wire(json.loads(request.operation_json))
-        operation = operation_from_request(call)
-        results, writes = self._run_operation(request.txn, operation)
-        return rpc.Executed(results=results, writes=writes)
 
     def _execute_fused(self, request: rpc.ExecuteFused) -> rpc.FusedDone:
         """Fused plan+execute: plan, lock, replan, log and run — all here.
@@ -791,14 +754,6 @@ class ShardWorker:
     def _encode_acquired(acquired: "dict[tuple[Any, Any], float]") -> list:
         return [[rpc.encode_resource(resource), rpc.encode_mode(mode), waited]
                 for (resource, mode), waited in acquired.items()]
-
-    def _read_field(self, request: rpc.ReadField) -> rpc.Value:
-        return rpc.Value(value=self._store.read_field(request.oid,
-                                                      request.field))
-
-    def _write_field(self, request: rpc.WriteField) -> rpc.Ok:
-        self._store.write_field(request.oid, request.field, request.value)
-        return rpc.Ok()
 
     def _take_fault(self, *stages: str) -> "str | None":
         """Consume the injected fault action iff it belongs to this stage.

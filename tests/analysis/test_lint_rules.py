@@ -405,6 +405,74 @@ def step(protocol, operation):
     assert lint_paths([tree]) == []
 
 
+def test_l10_fires_on_topology_conditionals_in_engine_methods(tmp_path):
+    tree = write_tree(tmp_path, {"repro/engine/engine.py": '''
+from repro.sharding.rpc import RemoteShardClient
+
+
+class Engine:
+    def __init__(self, shard_workers=None):
+        self._workers = None if shard_workers is None else ()
+
+    def commit(self, txn):
+        if self._workers is not None:
+            return "remote"
+        return "vectored" if self._vectored else "classic"
+
+    def stats(self):
+        return [handle for handle in self._handles
+                if isinstance(handle, RemoteShardClient)]
+
+    def failover(self, shard_id):
+        while not self._standbys[shard_id]:
+            pass
+        assert not isinstance(self._backend, LocalShardBackend)
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L10"] * 5
+    assert "_workers" in findings[0].message
+    assert "Engine.commit" in findings[0].message
+    assert "_vectored" in findings[1].message
+    assert "isinstance(..., RemoteShardClient)" in findings[2].message
+    assert "_standbys" in findings[3].message
+    assert "isinstance(..., LocalShardBackend)" in findings[4].message
+
+
+def test_l10_allows_the_constructor_and_backend_delegation(tmp_path):
+    tree = write_tree(tmp_path, {
+        "repro/engine/engine.py": '''
+class Engine:
+    def __init__(self, shard_workers=None):
+        if shard_workers is None:
+            self._backend = "local"
+        else:
+            self._backend = "workers"
+
+    def commit(self, txn):
+        shard_id = self._backend.fused_shard(txn)
+        if shard_id is not None:
+            return self._backend.execute_fused(txn, shard_id)
+        return self._backend.committed(txn)
+
+    @property
+    def shard_clients(self):
+        return self._backend.shard_clients
+
+
+class Helper:
+    def pick(self):
+        return 1 if self._workers else 0
+''',
+        # The backends themselves are where topology lives.
+        "repro/sharding/backends.py": '''
+class WorkerShardBackend:
+    def failover(self, shard_id):
+        if not self._standbys[shard_id]:
+            raise ValueError(shard_id)
+'''})
+    assert lint_paths([tree]) == []
+
+
 # -- pragmas ------------------------------------------------------------------
 
 

@@ -31,7 +31,7 @@ INSTANCES = 4
 SEED = 11
 
 
-def build_traced_worker_engine(vectored_rpc: bool = True, **tracer_options):
+def build_traced_worker_engine(**tracer_options):
     schema = banking_schema()
     compiled = compile_schema(schema)
     router = HashShardRouter(2)
@@ -39,7 +39,6 @@ def build_traced_worker_engine(vectored_rpc: bool = True, **tracer_options):
                            store=ShardedObjectStore(schema, router))
     protocol = PROTOCOLS["tav"](compiled, store)
     engine = Engine(protocol, shard_workers=2, default_lock_timeout=5.0,
-                    vectored_rpc=vectored_rpc,
                     tracer=Tracer(**tracer_options),
                     worker_options={"schema": "banking",
                                     "instances": INSTANCES,
@@ -63,10 +62,8 @@ def traced_engine():
         engine.close()
 
 
-@pytest.mark.parametrize("vectored", [False, True],
-                         ids=["classic", "vectored"])
-def test_cross_shard_commit_exports_one_connected_trace(vectored, tmp_path):
-    engine, store = build_traced_worker_engine(vectored_rpc=vectored)
+def test_cross_shard_commit_exports_one_connected_trace(tmp_path):
+    engine, store = build_traced_worker_engine()
     try:
         a, b = split_accounts(store)
         connection = InProcessConnection(engine)
@@ -97,20 +94,17 @@ def test_cross_shard_commit_exports_one_connected_trace(vectored, tmp_path):
                 "api:call", "api:commit"} <= names
         assert any(name.startswith("execute:") for name in names)
         assert {"shard-prepare", "shard-commit"} <= names
-        if vectored:
-            # The single-shard withdraw fuses — plan, locks and execution
-            # ride one worker trip — and the cross-shard deposit ships its
-            # whole lock round as one batch.
-            assert "execute-fused:withdraw" in names
-            assert "lock-batch" in names
-        else:
-            assert "lock" in names
+        # The single-shard withdraw fuses — plan, locks and execution ride
+        # one worker trip — and the cross-shard deposit ships its whole
+        # lock round as one batch.
+        assert "execute-fused:withdraw" in names
+        assert "lock-batch" in names
 
         # The tree crosses process boundaries: engine plus two workers.
         assert len({span.pid for span in spans}) == 3
 
-        # Lock spans report how long the acquire actually waited —
-        # per request on the classic wire, per batch on the vectored one.
+        # Lock spans report how long the acquire actually waited — per
+        # batch for a whole round, per request for a single lock.
         lock_spans = [span for span in spans
                       if span.name in ("lock", "lock-batch")]
         assert lock_spans

@@ -71,7 +71,7 @@ def split_accounts(store):
 
 def primary_process(engine, shard_id):
     # Spawn order per shard: REPLICAS standbys, then the primary.
-    return engine._worker_processes[shard_id * (REPLICAS + 1) + REPLICAS]
+    return engine.backend.processes[shard_id * (REPLICAS + 1) + REPLICAS]
 
 
 def transfer(engine, a, b, amount):
@@ -236,8 +236,8 @@ def test_torn_standby_tail_resumes_on_reconnect(tmp_path):
         def commit_deposit(txn):
             call = request_for_operation(
                 txn, MethodCall(oid=oid, method="deposit", arguments=(5.0,)))
-            primary.acquire(txn, ("instance", oid), "deposit")
-            primary.execute(txn, call, [(oid, ("balance",))])
+            # One shard, so the fused trip plans, locks and runs it all.
+            assert not primary.execute_fused(txn, call, [], []).fallback
             primary.prepare(txn)
             primary.commit(txn)
             primary.release_all(txn)
@@ -306,13 +306,13 @@ def test_restarted_worker_rejoins_running_engine(tmp_path):
         transfer(engine, a, b, 5.0)
         engine.shard_clients[1].inject_fault("exit_after_decision")
         transfer(engine, a, b, 10.0)  # commit stands, worker dies
-        engine._worker_processes[1].wait(timeout=10.0)
+        engine.backend.processes[1].wait(timeout=10.0)
 
         process, address = worker_module.spawn(
             shard_id=1, shards=2, schema="banking", instances=INSTANCES,
             populate_seed=SEED, lock_timeout=5.0, durability="fsync",
             wal_dir=tmp_path)
-        engine._worker_processes.append(process)
+        engine.backend.processes.append(process)
         answer = engine.readmit_worker(1, address=address)
         assert answer["recovery"]["redo_applied"] >= 1
         after = engine.store_state()

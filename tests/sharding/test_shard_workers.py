@@ -6,7 +6,7 @@ Three layers:
   default-timeout sentinel, write-plan images);
 * one in-process :class:`~repro.sharding.worker.ShardWorker` served from a
   thread, driven through a real :class:`~repro.sharding.rpc.RemoteShardClient`
-  socket — lock traffic, doom offers, write plans, shipped execution;
+  socket — lock traffic, doom offers, fused execution, flushed write plans;
 * ``Engine(shard_workers=2)`` over real worker subprocesses — single-shard
   and cross-shard commits, abort restoration, extent execution through the
   remote store front, a cross-process deadlock, and a threaded mini-run
@@ -85,12 +85,14 @@ def worker_client():
         thread.join(timeout=5.0)
 
 
-def shard0_account(worker: ShardWorker) -> OID:
+def shard0_accounts(worker: ShardWorker) -> list[OID]:
     router = HashShardRouter(2)
-    for oid in worker.store.extent("Account"):
-        if router.shard_of_oid(oid) == 0:
-            return oid
-    raise AssertionError("no Account on shard 0")
+    return [oid for oid in worker.store.extent("Account")
+            if router.shard_of_oid(oid) == 0]
+
+
+def shard0_account(worker: ShardWorker) -> OID:
+    return shard0_accounts(worker)[0]
 
 
 def test_hello_reports_identity(worker_client):
@@ -148,25 +150,57 @@ def test_write_plan_and_shipped_execution(worker_client):
     before = worker.store.read_field(oid, "balance")
     call = request_for_operation(9, MethodCall(oid=oid, method="deposit",
                                                arguments=(25.0,)))
-    # Hold the lock the engine would have acquired before shipping, so the
-    # shipped execution is legal under REPRO_SANITIZE too.
-    client.acquire(9, ("instance", oid), "deposit")
-    results, writes = client.execute(9, call, [(oid, ("balance",))])
-    assert results == [None]
-    assert writes == [(oid, {"balance": before + 25.0})]
+    # The fused trip takes the locks the engine would have acquired before
+    # shipping, so the shipped execution is legal under REPRO_SANITIZE too.
+    outcome = client.execute_fused(9, call, [], [])
+    assert not outcome.fallback
+    assert outcome.results == [None]
+    assert outcome.writes == [(oid, {"balance": before + 25.0})]
+    assert outcome.images == [(oid, ("balance",))]
     assert worker.store.read_field(oid, "balance") == before + 25.0
     # The before-image was logged first, so abort restores it.
     client.abort(9)
     assert worker.store.read_field(oid, "balance") == before
+    client.release_all(9)
+
+
+def test_flushed_write_plan_is_logged_before_its_writes(worker_client):
+    """The shipped write plan (images) and field writes that ride a fused
+    execute: images logged first, writes applied, both undone by abort."""
+    worker, client = worker_client
+    first, second = shard0_accounts(worker)[:2]
+    before_first = worker.store.read_field(first, "balance")
+    before_second = worker.store.read_field(second, "balance")
+    client.acquire(9, ("instance", second), "deposit")
+    call = request_for_operation(9, MethodCall(oid=first, method="deposit",
+                                               arguments=(25.0,)))
+    outcome = client.execute_fused(
+        9, call, [(second, ("balance",))],
+        [(second, "balance", before_second + 1.0)])
+    assert not outcome.fallback
+    assert worker.store.read_field(second, "balance") == before_second + 1.0
+    assert worker.store.read_field(first, "balance") == before_first + 25.0
+    client.abort(9)
+    assert worker.store.read_field(second, "balance") == before_second
+    assert worker.store.read_field(first, "balance") == before_first
+    client.release_all(9)
 
 
 def test_remote_read_write_fields(worker_client):
+    """A field write reaches the worker riding the prepare message and a
+    snapshot reads it back."""
     worker, client = worker_client
     oid = shard0_account(worker)
-    before = client.read_field(oid, "balance")
-    client.write_field(oid, "balance", before + 1.0)
+    before = client.snapshot()[str(oid)]["balance"]
+    client.acquire(5, ("instance", oid), "deposit")
+    client.stage_prepare(5, [(oid, ("balance",))],
+                         [(oid, "balance", before + 1.0)])
+    client.prepare(5)
     assert worker.store.read_field(oid, "balance") == before + 1.0
-    assert client.read_field(oid, "balance") == before + 1.0
+    assert client.snapshot()[str(oid)]["balance"] == before + 1.0
+    client.commit(5)
+    client.release_all(5)
+    assert client.snapshot()[str(oid)]["balance"] == before + 1.0
 
 
 def test_snapshot_serves_only_the_owned_partition(worker_client):
@@ -286,6 +320,9 @@ def test_deadlock_across_worker_processes(worker_engine):
     t1.join(timeout=30.0); t2.join(timeout=30.0)
     assert not t1.is_alive() and not t2.is_alive()
     assert sorted(outcomes.values()) == ["committed", "deadlocked"]
+    # The victim's abort released only the workers it had touched, and
+    # neither worker is left holding a stale doom flag.
+    assert engine.lock_manager.doomed_transactions() == frozenset()
 
 
 def test_worker_mode_refuses_structural_changes(worker_engine):

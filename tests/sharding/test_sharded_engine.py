@@ -101,6 +101,8 @@ def test_cross_shard_deadlock_is_detected_from_the_union():
     assert not first.is_alive()
     assert front.holds(1, on_zero, "X")
     front.release_all(1)
+    # Releasing only the touched shards left no doom flag behind anywhere.
+    assert front.doomed_transactions() == frozenset()
 
 
 # -- engine behaviour ------------------------------------------------------------
@@ -154,6 +156,9 @@ def test_cross_shard_engine_deadlock_resolves_by_retry(banking_compiled,
         assert not errors
         assert engine.metrics.committed == 2
         assert engine.metrics.deadlocks >= 1
+        # Every victim aborted through release_all on the shards it had
+        # touched; no shard is left holding a stale doom flag.
+        assert engine.lock_manager.doomed_transactions() == frozenset()
     assert sum(store.read_field(oid, "balance") for oid in oids) == 400.0
 
 
@@ -320,6 +325,7 @@ def test_conservation_across_shards(protocol_name, banking, banking_compiled):
         assert engine.metrics.aborted == engine.metrics.retries
         assert engine.metrics.cross_shard_commits > 0
         assert len(engine.coordinator.decisions) >= TRANSFERS
+        assert engine.lock_manager.doomed_transactions() == frozenset()
     total = sum(store.read_field(oid, "balance") for oid in oids)
     assert total == before
     assert threading.active_count() == baseline_threads, "detector thread leaked"

@@ -5,10 +5,10 @@ The worker-layer half of the round-trip elimination, tested bottom-up:
 * ``AcquireBatch`` grants a whole plan round over one request;
 * ``ExecuteFused`` ships plan+locks+execution in one trip, and answers a
   fallback (instead of touching off-shard state) when the plan escapes;
-* the engine's vectored mode cuts the worker RPCs of a cross-shard commit
-  by at least half against the classic per-operation path, while deferred
-  writes keep the coordinator mirror and the workers in parity — including
-  under ``REPRO_SANITIZE``.
+* the engine over worker subprocesses stays at the pinned worker-RPC counts
+  per commit, sends nothing to a worker a transaction did not touch, and
+  its deferred writes keep the coordinator mirror and the workers in parity
+  — including under ``REPRO_SANITIZE``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def test_execute_fused_falls_back_when_the_plan_escapes_the_shard(
     client.release_all(11)
 
 
-# -- the engine's vectored mode over worker subprocesses ----------------------
+# -- the engine over worker subprocesses ---------------------------------------
 
 
 def build_worker_engine(**engine_options):
@@ -160,33 +160,59 @@ def rpcs_for(engine, store, *operations) -> int:
     return engine.metrics.rpc_requests - before
 
 
-def test_vectored_mode_halves_worker_rpcs_per_cross_shard_commit():
-    costs: dict[bool, dict[str, int]] = {}
-    for vectored in (True, False):
-        engine, store = build_worker_engine(vectored_rpc=vectored)
-        try:
-            a, b = split_accounts(store)
-            costs[vectored] = {
-                "cross": rpcs_for(engine, store,
-                                  ExtentCall(class_name="Account",
-                                             method="deposit",
-                                             arguments=(1.0,))),
-                "transfer": rpcs_for(
-                    engine, store,
-                    MethodCall(oid=a, method="withdraw", arguments=(5.0,)),
-                    MethodCall(oid=b, method="deposit", arguments=(5.0,))),
-                "single": rpcs_for(engine, store,
-                                   MethodCall(oid=a, method="deposit",
-                                              arguments=(1.0,))),
-            }
-        finally:
-            engine.close()
-    # The acceptance bar: a cross-shard commit costs at most half the
-    # worker requests of the classic per-operation path.
-    assert costs[False]["cross"] >= 2 * costs[True]["cross"]
-    # Every shape gets cheaper; none regresses.
-    assert costs[True]["transfer"] < costs[False]["transfer"]
-    assert costs[True]["single"] < costs[False]["single"]
+def test_worker_rpcs_per_commit_stay_at_the_vectored_counts():
+    """Absolute pins on the one surviving wire path.
+
+    The counts are the vectored side of the last classic-vs-vectored A/B,
+    taken at PR 13 before the classic wire was deleted (worker RPCs per
+    commit: extent 16 -> 6, transfer 12 -> 9, single-shard 6 -> 4) — a
+    change that adds a round trip to any shape fails here.
+    """
+    engine, store = build_worker_engine()
+    try:
+        a, b = split_accounts(store)
+        cross = rpcs_for(engine, store,
+                         ExtentCall(class_name="Account", method="deposit",
+                                    arguments=(1.0,)))
+        transfer = rpcs_for(
+            engine, store,
+            MethodCall(oid=a, method="withdraw", arguments=(5.0,)),
+            MethodCall(oid=b, method="deposit", arguments=(5.0,)))
+        # ``a`` shares shard 0 with the Account class lock: a true
+        # single-shard commit (fused execute, prepare, commit, release).
+        single = rpcs_for(engine, store,
+                          MethodCall(oid=a, method="deposit",
+                                     arguments=(1.0,)))
+    finally:
+        engine.close()
+    assert cross <= 6
+    assert transfer <= 9
+    assert single <= 4
+
+
+def test_single_shard_commit_sends_nothing_to_the_untouched_worker():
+    """No request of any kind — counted or not — reaches a worker the
+    transaction never touched (the per-commit ``ClearDoom`` used to)."""
+    # A long detection interval keeps the detector's periodic edge
+    # collection (which does visit every worker) out of the window.
+    engine, store = build_worker_engine(detection_interval=3600.0)
+    try:
+        a, _b = split_accounts(store)
+        untouched = engine.shard_clients[1]
+        seen: list[str] = []
+        original = untouched._call
+
+        def recording(request, **options):
+            seen.append(request.type)
+            return original(request, **options)
+
+        untouched._call = recording
+        with engine.begin(label="single-shard") as session:
+            session.call(a, "deposit", 1.0)
+        assert engine.commit_log[-1][1] == "single-shard"
+        assert seen == []
+    finally:
+        engine.close()
 
 
 def test_deferred_writes_keep_the_mirror_and_workers_in_parity():

@@ -100,7 +100,7 @@ def test_worker_killed_after_commit_decision_redoes_on_restart(tmp_path):
         assert committed, "the transfer's commit record must be durable"
         survivor = engine.shard_clients[0].snapshot()
         assert survivor[str(a)]["balance"] == before[str(a)]["balance"] - 10.0
-        fault_exit = engine._worker_processes[1].wait(timeout=10.0)
+        fault_exit = engine.backend.processes[1].wait(timeout=10.0)
     finally:
         engine.close()
     assert fault_exit == worker_module.FAULT_EXIT
@@ -171,11 +171,11 @@ def test_pure_in_doubt_window_resolved_by_presumed_abort(tmp_path):
     try:
         call = request_for_operation(
             77, MethodCall(oid=oid, method="deposit", arguments=(50.0,)))
-        # Hold the lock the engine would have acquired before shipping, so
-        # the shipped execution is legal under REPRO_SANITIZE too.
-        client.acquire(77, ("instance", oid), "deposit")
-        _results, writes = client.execute(77, call, [(oid, ("balance",))])
-        assert writes == [(oid, {"balance": before + 50.0})]
+        # The Account class lock and this account both live on shard 0, so
+        # the fused trip plans, locks, images and runs the deposit here.
+        outcome = client.execute_fused(77, call, [], [])
+        assert not outcome.fallback
+        assert outcome.writes == [(oid, {"balance": before + 50.0})]
         client.inject_fault("exit_after_prepare_reply")
         client.prepare(77)  # the durable yes-vote — then the worker is gone
         assert process.wait(timeout=10.0) == worker_module.FAULT_EXIT
