@@ -236,7 +236,7 @@ class ReleaseOrderingRule(Rule):
                     first_state = min(first_state or node.lineno, node.lineno)
                 elif node.func.attr == "append" \
                         and isinstance(node.func.value, ast.Attribute) \
-                        and node.func.value.attr == "_commit_log":
+                        and node.func.value.attr == "_commit_ids":
                     first_state = min(first_state or node.lineno, node.lineno)
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
@@ -769,6 +769,60 @@ class ModeFreeEngineRule(Rule):
         return None
 
 
+class LookupOnlyLockTableRule(Rule):
+    """L11: ``LockManager`` never iterates its lock table.
+
+    ``self._entries`` has one entry per resource the manager has ever
+    seen — the whole store, eventually.  Every method finds the entries it
+    needs through the per-transaction hold and waiter indexes; a ``for``
+    statement or comprehension over ``self._entries`` (or its ``.items()``
+    / ``.values()`` / ``.keys()``) makes that method cost in proportion to
+    the store instead of to the transaction.
+    """
+
+    code = "L11"
+    title = "LockManager finds lock-table entries by lookup, never by a walk"
+    historical = ("PR 24's waiter index: release_all, waits_for_edges and "
+                  "blocked_transactions each walked every entry of the lock "
+                  "table, so a commit on a 768-instance store spent 30 times "
+                  "longer releasing its locks than acquiring them, and the "
+                  "deadlock detector rescanned the table 50 times a second "
+                  "under the shard mutex")
+
+    _MODULE = "repro.locking.manager"
+    _CLASS = "LockManager"
+    _TABLE = "_entries"
+    _VIEWS = frozenset({"items", "values", "keys"})
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.name != self._MODULE:
+            return
+        tree = module.tree
+        assert isinstance(tree, ast.Module)
+        for owner in tree.body:
+            if not isinstance(owner, ast.ClassDef) or owner.name != self._CLASS:
+                continue
+            for qualname, node in _QualnameWalker().walk(owner):
+                if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) \
+                        and self._is_table(node.iter):
+                    yield self._finding(
+                        module, node.iter,
+                        f"{self._CLASS}.{qualname} iterates the lock table "
+                        f"(self.{self._TABLE}) — reach entries through the "
+                        f"per-transaction hold and waiter indexes")
+
+    @classmethod
+    def _is_table(cls, iterated: ast.AST) -> bool:
+        if isinstance(iterated, ast.Call) and not iterated.args \
+                and isinstance(iterated.func, ast.Attribute) \
+                and iterated.func.attr in cls._VIEWS:
+            iterated = iterated.func.value
+        return isinstance(iterated, ast.Attribute) \
+            and iterated.attr == cls._TABLE \
+            and isinstance(iterated.value, ast.Name) \
+            and iterated.value.id == "self"
+
+
 #: The rule set ``repro-lint`` runs, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     ErrorRegistryRule(),
@@ -781,6 +835,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ReplayApplierRule(),
     PlanViaCacheRule(),
     ModeFreeEngineRule(),
+    LookupOnlyLockTableRule(),
 )
 
 

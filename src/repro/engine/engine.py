@@ -69,6 +69,7 @@ import itertools
 import random
 import threading
 import time
+from array import array
 from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
 
 from repro.analysis.sanitizer import (
@@ -261,7 +262,10 @@ class Engine:
         self._backoff_rng = random.Random(0x5eed)
         self._rng_mutex = threading.Lock()
         self._commit_mutex = threading.Lock()
-        self._commit_log: list[tuple[int, str]] = []
+        #: The commit log as two parallel columns — 8 bytes of id and one
+        #: label reference per commit, not a tuple object each.
+        self._commit_ids = array("q")
+        self._commit_labels: list[str] = []
         #: Tracing: off unless a tracer is injected.  Root spans of live
         #: traced transactions, by txn id (session-thread confined).
         self._tracer = tracer
@@ -426,7 +430,8 @@ class Engine:
                 raise
             with self._maybe_span(commit_span, "decision-barrier", "2pc"):
                 with self._commit_mutex:
-                    self._commit_log.append((txn, label or f"T{txn}"))
+                    self._commit_ids.append(txn)
+                    self._commit_labels.append(label or f"T{txn}")
                     self._coordinator.record_commit(txn, touched)
                 # With group commit the record above is not yet fsynced; the
                 # wait happens *outside* the commit mutex so concurrent
@@ -799,7 +804,7 @@ class Engine:
         """
         with self._snapshot_mutex:
             with self._commit_mutex:
-                key = (len(self._commit_log), self._structural_epoch)
+                key = (len(self._commit_ids), self._structural_epoch)
                 cached = self._snapshot_cache
                 if cached is not None and cached[0] == key:
                     return cached[1]
@@ -1228,7 +1233,7 @@ class Engine:
     def commit_log(self) -> tuple[tuple[int, str], ...]:
         """``(txn_id, label)`` pairs in commit order (a serialisation order)."""
         with self._commit_mutex:
-            return tuple(self._commit_log)
+            return tuple(zip(self._commit_ids, self._commit_labels))
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -145,11 +145,18 @@ class BlockingLockManager:
     # -- releasing -------------------------------------------------------------
 
     def release_all(self, txn: TxnId) -> None:
-        """Release every lock of ``txn``, clear its doom flag, wake waiters."""
+        """Release every lock of ``txn``, clear its doom flag, and wake the
+        waiters when the release granted one of them its lock.
+
+        A release that promoted nobody changed nothing a blocked thread is
+        waiting to see (grants, dooms and deadlines are the only wake-up
+        reasons), so it wakes no one.
+        """
         with self._mutex:
-            self._inner.release_all(txn)
+            promoted = self._inner.release_all(txn)
             self._doomed.pop(txn, None)
-            self._changed.notify_all()
+            if promoted:
+                self._changed.notify_all()
 
     # -- deadlock detection ----------------------------------------------------
 

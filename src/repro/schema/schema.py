@@ -15,12 +15,20 @@ instance class", §2.2) follows the class linearisation computed with the C3
 algorithm, which coincides with simple nearest-ancestor lookup for single
 inheritance and gives a deterministic, monotone order for multiple
 inheritance.
+
+The paper decides all of this "a priori"; so does the schema.
+:meth:`Schema.validate` freezes, per class, the linearisation, ``FIELDS(C)``
+with its name tuple, ``METHODS(C)``, the direct subclasses and the
+descendants, and every lookup answers from those tables for as long as the
+schema stays validated — run-time name resolution is a dict hit, never a C3
+merge.  :meth:`Schema.add_class` and the first line of every ``validate()``
+drop the tables; without them each lookup computes its answer on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import (
     DuplicateClassError,
@@ -61,6 +69,18 @@ class ResolvedMethod:
         return (self.defining_class, self.definition.name)
 
 
+@dataclass(frozen=True)
+class _ClassTables:
+    """What :meth:`Schema.validate` resolved for one class."""
+
+    linearization: tuple[str, ...]
+    fields: dict[str, Field]
+    field_names: tuple[str, ...]
+    methods: dict[str, ResolvedMethod]
+    direct_subclasses: tuple[str, ...]
+    descendants: tuple[str, ...]
+
+
 class Schema:
     """A registry of classes with inheritance-aware lookups.
 
@@ -69,11 +89,20 @@ class Schema:
     :meth:`validate`.  All lookup methods may be called before validation,
     but :meth:`validate` is the only place where structural errors are
     reported exhaustively.
+
+    Staleness: the schema cannot see a :class:`ClassDefinition` being
+    mutated behind its back (``get_class(..).add_method(..)``).  Such a
+    change leaves :attr:`is_validated` true and is visible to the lookups
+    only after the next :meth:`validate`, which re-checks the structure and
+    rebuilds the frozen tables — evolve, then validate.
     """
 
     def __init__(self) -> None:
         self._classes: dict[str, ClassDefinition] = {}
         self._validated = False
+        #: Per-class resolution tables, present exactly while the schema is
+        #: validated (``None`` = compute every lookup on demand).
+        self._tables: dict[str, _ClassTables] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -88,6 +117,7 @@ class Schema:
                 f"class {class_definition.name!r} is already defined")
         self._classes[class_definition.name] = class_definition
         self._validated = False
+        self._tables = None
 
     def validate(self) -> "Schema":
         """Check structural consistency and annotate overriding methods.
@@ -100,6 +130,8 @@ class Schema:
                 inheritance path.
             UnknownClassError: a reference field targets an unknown class.
         """
+        self._tables = None
+        self._validated = False
         for class_definition in self._classes.values():
             for superclass in class_definition.superclasses:
                 if superclass not in self._classes:
@@ -107,12 +139,46 @@ class Schema:
                         f"class {class_definition.name!r} inherits from unknown "
                         f"class {superclass!r}")
         self._check_acyclic()
+        linearizations: dict[str, tuple[str, ...]] = {}
         for name in self._classes:
-            self.linearization(name)  # raises InheritanceError on C3 failure
-            self._check_fields(name)
-        self._annotate_overrides()
+            # raises InheritanceError on C3 failure
+            self._check_fields(name, self._linearize(name, linearizations))
+        self._annotate_overrides(linearizations)
+        self._tables = self._freeze(linearizations)
         self._validated = True
         return self
+
+    def _freeze(self, linearizations: dict[str, tuple[str, ...]]
+                ) -> dict[str, _ClassTables]:
+        children: dict[str, list[str]] = {name: [] for name in self._classes}
+        for class_definition in self._classes.values():
+            for superclass in dict.fromkeys(class_definition.superclasses):
+                children[superclass].append(class_definition.name)
+        tables = {}
+        for name, linearization in linearizations.items():
+            fields = self._fields_along(linearization)
+            tables[name] = _ClassTables(
+                linearization=linearization,
+                fields=fields,
+                field_names=tuple(fields),
+                methods=self._methods_along(name, linearization),
+                direct_subclasses=tuple(children[name]),
+                descendants=self._breadth_first(name, children.__getitem__))
+        return tables
+
+    def _frozen(self, name: str) -> _ClassTables | None:
+        """The frozen tables of ``name``; ``None`` while unvalidated.
+
+        Raises:
+            UnknownClassError: if no class has that name.
+        """
+        tables = self._tables
+        if tables is None:
+            return None
+        frozen = tables.get(name)
+        if frozen is None:
+            self.get_class(name)  # the tables cover every class: raises
+        return frozen
 
     def _check_acyclic(self) -> None:
         WHITE, GREY, BLACK = 0, 1, 2
@@ -132,9 +198,9 @@ class Schema:
             if colour[name] == WHITE:
                 visit(name, ())
 
-    def _check_fields(self, name: str) -> None:
+    def _check_fields(self, name: str, linearization: tuple[str, ...]) -> None:
         seen: dict[str, str] = {}
-        for class_name in reversed(self.linearization(name)):
+        for class_name in reversed(linearization):
             for field_name, field in self._classes[class_name].own_fields.items():
                 if field_name in seen and seen[field_name] != class_name:
                     raise DuplicateFieldError(
@@ -146,14 +212,16 @@ class Schema:
                         f"field {field_name!r} of class {class_name!r} references "
                         f"unknown class {field.type.reference!r}")
 
-    def _annotate_overrides(self) -> None:
+    def _annotate_overrides(self, linearizations: dict[str, tuple[str, ...]]) -> None:
         for class_definition in self._classes.values():
+            ancestors = linearizations[class_definition.name][1:]
             for method_name, method in list(class_definition.own_methods.items()):
-                ancestor = self._find_overridden(class_definition.name, method_name)
+                ancestor = self._find_overridden(ancestors, method_name)
                 class_definition.own_methods[method_name] = method.with_overrides(ancestor)
 
-    def _find_overridden(self, class_name: str, method_name: str) -> str | None:
-        for ancestor in self.ancestors(class_name):
+    def _find_overridden(self, ancestors: tuple[str, ...],
+                         method_name: str) -> str | None:
+        for ancestor in ancestors:
             if self._classes[ancestor].declares_method(method_name):
                 return ancestor
         return None
@@ -194,12 +262,23 @@ class Schema:
 
     def linearization(self, name: str) -> tuple[str, ...]:
         """The C3 linearisation of ``name`` (the class itself comes first)."""
-        class_definition = self.get_class(name)
-        parent_linearizations = [list(self.linearization(s))
-                                 for s in class_definition.superclasses]
-        parent_list = list(class_definition.superclasses)
-        merged = self._c3_merge(parent_linearizations + [parent_list], name)
-        return (name, *merged)
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return frozen.linearization
+        return self._linearize(name, {})
+
+    def _linearize(self, name: str,
+                   known: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+        """Compute the linearisation of ``name``, sharing ``known`` results."""
+        linearization = known.get(name)
+        if linearization is None:
+            class_definition = self.get_class(name)
+            parent_linearizations = [list(self._linearize(s, known))
+                                     for s in class_definition.superclasses]
+            parent_list = list(class_definition.superclasses)
+            merged = self._c3_merge(parent_linearizations + [parent_list], name)
+            linearization = known[name] = (name, *merged)
+        return linearization
 
     def _c3_merge(self, sequences: list[list[str]], for_class: str) -> tuple[str, ...]:
         result: list[str] = []
@@ -232,15 +311,26 @@ class Schema:
 
     def direct_subclasses(self, name: str) -> tuple[str, ...]:
         """Classes that list ``name`` among their direct superclasses."""
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return frozen.direct_subclasses
         self.get_class(name)
         return tuple(c.name for c in self._classes.values()
                      if name in c.superclasses)
 
     def descendants(self, name: str) -> tuple[str, ...]:
         """All strict descendants of ``name`` in breadth-first order."""
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return frozen.descendants
         self.get_class(name)
+        return self._breadth_first(name, self.direct_subclasses)
+
+    @staticmethod
+    def _breadth_first(name: str, children_of: Callable[[str], Iterable[str]]
+                       ) -> tuple[str, ...]:
         result: list[str] = []
-        frontier = list(self.direct_subclasses(name))
+        frontier = list(children_of(name))
         seen: set[str] = set()
         while frontier:
             current = frontier.pop(0)
@@ -248,7 +338,7 @@ class Schema:
                 continue
             seen.add(current)
             result.append(current)
-            frontier.extend(self.direct_subclasses(current))
+            frontier.extend(children_of(current))
         return tuple(result)
 
     def domain(self, name: str) -> tuple[str, ...]:
@@ -266,16 +356,26 @@ class Schema:
 
         The ordering matches the paper's presentation: fields declared by the
         most distant ancestor come first, then down the hierarchy, each class
-        contributing its own fields in declaration order.
+        contributing its own fields in declaration order.  The dict is the
+        caller's own: changing it changes no later answer.
         """
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return dict(frozen.fields)
+        return self._fields_along(self.linearization(name))
+
+    def _fields_along(self, linearization: tuple[str, ...]) -> dict[str, Field]:
         ordered: dict[str, Field] = {}
-        for class_name in reversed(self.linearization(name)):
+        for class_name in reversed(linearization):
             for field_name, field in self._classes[class_name].own_fields.items():
                 ordered.setdefault(field_name, field)
         return ordered
 
     def field_names(self, name: str) -> tuple[str, ...]:
         """Names of ``FIELDS(C)`` in canonical order."""
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return frozen.field_names
         return tuple(self.fields(name))
 
     def get_field(self, class_name: str, field_name: str) -> Field:
@@ -284,7 +384,8 @@ class Schema:
         Raises:
             UnknownFieldError: if the class has no such field.
         """
-        fields = self.fields(class_name)
+        frozen = self._frozen(class_name)
+        fields = frozen.fields if frozen is not None else self.fields(class_name)
         try:
             return fields[field_name]
         except KeyError:
@@ -297,10 +398,18 @@ class Schema:
         """``METHODS(C)``: every method visible on ``name``, resolved.
 
         Each entry records the defining class selected by nearest-ancestor
-        lookup (late binding resolved on the static class).
+        lookup (late binding resolved on the static class).  The dict is
+        the caller's own: changing it changes no later answer.
         """
+        frozen = self._frozen(name)
+        if frozen is not None:
+            return dict(frozen.methods)
+        return self._methods_along(name, self.linearization(name))
+
+    def _methods_along(self, name: str, linearization: tuple[str, ...]
+                       ) -> dict[str, ResolvedMethod]:
         resolved: dict[str, ResolvedMethod] = {}
-        for class_name in self.linearization(name):
+        for class_name in linearization:
             for method_name, method in self._classes[class_name].own_methods.items():
                 if method_name not in resolved:
                     resolved[method_name] = ResolvedMethod(
@@ -311,7 +420,8 @@ class Schema:
 
     def method_names(self, name: str) -> tuple[str, ...]:
         """Names of ``METHODS(C)`` in resolution order."""
-        return tuple(self.methods(name))
+        frozen = self._frozen(name)
+        return tuple(frozen.methods if frozen is not None else self.methods(name))
 
     def resolve(self, class_name: str, method_name: str) -> ResolvedMethod:
         """Resolve ``method_name`` on ``class_name`` (late binding).
@@ -319,7 +429,8 @@ class Schema:
         Raises:
             UnknownMethodError: if the method is not visible on the class.
         """
-        resolved = self.methods(class_name)
+        frozen = self._frozen(class_name)
+        resolved = frozen.methods if frozen is not None else self.methods(class_name)
         try:
             return resolved[method_name]
         except KeyError:

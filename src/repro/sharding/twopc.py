@@ -10,11 +10,14 @@ atomically.  The pieces:
   already prepared.
 * :class:`TwoPhaseCommitCoordinator` — collects the votes of every touched
   shard, and keeps the **global decision log**: one
-  :class:`CommitDecision` per transaction outcome.  The engine appends the
-  commit decision while holding its commit mutex, *between* phase one and
-  phase two — that single record is the serialisation point that makes a
-  cross-shard commit atomic: until it exists every shard can still undo,
-  once it exists every shard must complete.
+  :class:`CommitDecision` per transaction outcome (in memory, the latest
+  :data:`DECISION_WINDOW` of them; the durable
+  :class:`~repro.wal.log.DecisionLog` is the authority on anything older).
+  The engine appends the commit decision while holding its commit mutex,
+  *between* phase one and phase two — that single record is the
+  serialisation point that makes a cross-shard commit atomic: until it
+  exists every shard can still undo, once it exists every shard must
+  complete.
 
 With durability on, the protocol earns its classical meaning.  A
 participant's ``prepare`` appends the transaction's redo images (the
@@ -37,6 +40,7 @@ after which the engine aborts on *every* touched shard, prepared or not.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +49,14 @@ from repro.sharding.participant import ParticipantClient
 from repro.txn.recovery import RecoveryManager
 from repro.wal.log import DecisionLog, WriteAheadLog
 from repro.wal.records import PreparedMarker, RedoImage
+
+
+#: How many of the latest decisions the coordinator keeps in memory.  Nothing
+#: in the protocol reads them back — recovery resolves in-doubt transactions
+#: against the durable :class:`~repro.wal.log.DecisionLog` — so the window
+#: only has to cover what an operator or a test inspects right after the
+#: fact, and a long run's memory does not grow with its commit count.
+DECISION_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -135,7 +147,10 @@ class TwoPhaseCommitCoordinator:
     def __init__(self, participants: Sequence[ParticipantClient],
                  decision_log: DecisionLog | None = None) -> None:
         self._participants = tuple(participants)
-        self._decisions: list[CommitDecision] = []
+        #: The latest DECISION_WINDOW decisions, oldest first, and the same
+        #: decisions by transaction (a transaction's latest one wins).
+        self._decisions: deque[CommitDecision] = deque()
+        self._decision_of: dict[int, CommitDecision] = {}
         self._decision_log = decision_log
         self._mutex = threading.Lock()
         #: Phase-two/abort calls that found their participant unreachable.
@@ -245,7 +260,7 @@ class TwoPhaseCommitCoordinator:
 
     @property
     def decisions(self) -> tuple[CommitDecision, ...]:
-        """The global decision log, in decision order."""
+        """The latest :data:`DECISION_WINDOW` decisions, in decision order."""
         with self._mutex:
             return tuple(self._decisions)
 
@@ -255,12 +270,10 @@ class TwoPhaseCommitCoordinator:
         return self._decision_log
 
     def decision_for(self, txn: int) -> CommitDecision | None:
-        """The recorded outcome of ``txn``, or ``None`` while undecided."""
+        """The recorded outcome of ``txn``; ``None`` while undecided, and
+        once the decision has left the in-memory window."""
         with self._mutex:
-            for decision in reversed(self._decisions):
-                if decision.txn == txn:
-                    return decision
-        return None
+            return self._decision_of.get(txn)
 
     # -- internals ---------------------------------------------------------------
 
@@ -275,5 +288,10 @@ class TwoPhaseCommitCoordinator:
             self._decision_log.append(decision.txn, decision.verdict,
                                       decision.shards)
         with self._mutex:
+            if len(self._decisions) == DECISION_WINDOW:
+                oldest = self._decisions.popleft()
+                if self._decision_of.get(oldest.txn) is oldest:
+                    del self._decision_of[oldest.txn]
             self._decisions.append(decision)
+            self._decision_of[txn] = decision
         return decision

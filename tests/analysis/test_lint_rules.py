@@ -119,6 +119,23 @@ class Engine:
     assert lint_paths([tree]) == []
 
 
+def test_l2_counts_the_commit_log_append_as_the_state_mutation(tmp_path):
+    tree = write_tree(tmp_path, {"repro/engine/engine.py": '''
+class Engine:
+    def commit(self, transaction):
+        self._commit_ids.append(transaction.txn_id)
+        self._commit_labels.append("label")
+        self._locks.release_all(transaction.txn_id)
+
+    def abort(self, transaction):
+        self._locks.release_all(transaction.txn_id)
+        self._commit_ids.append(transaction.txn_id)
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L2"]
+    assert "Engine.abort" in findings[0].message
+
+
 def test_l3_fires_on_direct_store_write_in_engine_code(tmp_path):
     tree = write_tree(tmp_path, {"repro/engine/shortcut.py": '''
 def hurry(store, oid, value):
@@ -469,6 +486,81 @@ class WorkerShardBackend:
     def failover(self, shard_id):
         if not self._standbys[shard_id]:
             raise ValueError(shard_id)
+'''})
+    assert lint_paths([tree]) == []
+
+
+def test_l11_fires_on_every_walk_of_the_lock_table(tmp_path):
+    tree = write_tree(tmp_path, {"repro/locking/manager.py": '''
+class LockManager:
+    def release_all(self, txn):
+        for resource, entry in self._entries.items():
+            entry.queue = [w for w in entry.queue if w.txn != txn]
+
+    def waits_for_edges(self):
+        return {resource: entry for resource, entry in self._entries.items()}
+
+    def blocked_transactions(self):
+        blocked = set()
+        for entry in self._entries.values():
+            blocked.update(w.txn for w in entry.queue)
+        return frozenset(blocked)
+
+    def resources(self):
+        return [resource for resource in self._entries]
+
+    def count(self):
+        return sum(1 for _ in self._entries.keys())
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L11"] * 5
+    for finding, method in zip(findings, (
+            "release_all", "waits_for_edges", "blocked_transactions",
+            "resources", "count")):
+        assert f"LockManager.{method}" in finding.message
+
+
+def test_l11_names_the_three_walks_of_the_scan_based_manager(tmp_path):
+    # The pre-index manager survives as the oracle of the model test; put
+    # where the lock manager lives, it is exactly what the rule is for.
+    oracle = REPO_SRC.parents[1] / "tests/locking/test_waiter_index_model.py"
+    tree = write_tree(tmp_path, {
+        "repro/locking/manager.py": oracle.read_text(encoding="utf-8")})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L11"] * 3
+    assert [finding.message.split()[0] for finding in findings] == [
+        "LockManager.release_all", "LockManager.waits_for_edges",
+        "LockManager.blocked_transactions"]
+
+
+def test_l11_allows_lookups_indexes_and_other_classes(tmp_path):
+    tree = write_tree(tmp_path, {
+        "repro/locking/manager.py": '''
+class LockManager:
+    def release_all(self, txn):
+        for resource in self._held_by_txn.pop(txn, ()):
+            entry = self._entries[resource]
+            entry.holders.pop(txn, None)
+        for resource in self._queued_by_txn.pop(txn, ()):
+            entry = self._entries.get(resource)
+            entry.queue = [w for w in entry.queue if w.txn != txn]
+
+    def blocked_transactions(self):
+        return frozenset(self._queued_by_txn)
+
+    def known(self, resource):
+        return resource in self._entries and len(self._entries) > 0
+
+
+class LockTableDump:
+    def rows(self):
+        return [resource for resource in self._entries]
+''',
+        # Another module's _entries is not the lock table.
+        "repro/txn/escrow.py": '''
+class EscrowLedger:
+    def pending(self):
+        return {txn: tuple(e) for txn, e in self._entries.items()}
 '''})
     assert lint_paths([tree]) == []
 

@@ -56,6 +56,53 @@ def test_waiter_is_granted_when_holder_releases():
     assert waited[2] > 0.0
 
 
+class CountingCondition:
+    """The manager's condition variable, counting its ``notify_all`` calls."""
+
+    def __init__(self, condition):
+        self._condition = condition
+        self.wakeups = 0
+
+    def notify_all(self):
+        self.wakeups += 1
+        self._condition.notify_all()
+
+    def __getattr__(self, name):
+        return getattr(self._condition, name)
+
+
+def test_release_wakes_waiters_exactly_when_it_promoted_one():
+    locks = BlockingLockManager(LockManager(exclusive))
+    condition = locks._changed = CountingCondition(locks._changed)
+    locks.acquire(1, "a", "X")
+    locks.acquire(3, "b", "X")
+    granted = threading.Event()
+
+    def second():
+        locks.acquire(2, "a", "X")
+        granted.set()
+
+    # daemon: a failed assertion below must not leave pytest waiting on it
+    thread = threading.Thread(target=second, daemon=True)
+    thread.start()
+    assert wait_until(lambda: locks.waiting("a"))
+    # A release on an unrelated resource changes nothing the waiter is
+    # waiting to see: no wake-up, and the waiter stays queued.
+    locks.release_all(3)
+    assert condition.wakeups == 0
+    assert locks.waiting("a") == ((2, "X"),)
+    # The holder's commit promotes the waiter: one wake-up, and it arrives.
+    locks.release_all(1)
+    assert condition.wakeups == 1
+    assert granted.wait(timeout=2.0)
+    thread.join(timeout=2.0)
+    assert not thread.is_alive()
+    assert locks.holds(2, "a", "X")
+    # Nobody waits any more: the last release wakes no one.
+    locks.release_all(2)
+    assert condition.wakeups == 1
+
+
 def test_timeout_expiry_raises_and_withdraws_the_request():
     locks = BlockingLockManager(LockManager(exclusive))
     locks.acquire(1, "x", "X")

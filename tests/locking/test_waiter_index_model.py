@@ -1,111 +1,41 @@
-"""The lock manager.
+"""Model-based equivalence: the indexed lock manager against a table scan.
 
-One :class:`LockManager` instance serves one concurrency-control protocol.
-It knows nothing about what modes *mean*: compatibility is delegated to a
-callable ``compatible(resource, held_mode, requested_mode)`` supplied by the
-protocol, which is how the paper's per-class commutativity tables, classical
-read/write locks and multigranularity class locks all share the same
-machinery.  This mirrors the paper's point that once access vectors have been
-translated into access modes, "run-time checking of commutativity is as
-efficient as for compatibility" — the lock manager does exactly one table
-lookup per held lock.
-
-The manager is event-driven rather than thread-blocking: a request either is
-granted immediately or joins a FIFO wait queue, and :meth:`release_all`
-reports which queued requests became grantable.  The discrete-event simulator
-and the (single-threaded) transaction manager both build on this interface.
-
-Nothing on the transaction path walks the lock table.  Two per-transaction
-indexes name the resources a transaction has state on: the *hold index*
-(``txn -> resources`` in hold order, filled by every grant) and the *waiter
-index* (``txn -> {resource: its queued requests}``, filled when
-:meth:`LockManager.request` queues, emptied request by request as
-:meth:`LockManager.cancel`, a try-lock's withdrawal or a promotion takes one
-out of its queue).  :meth:`LockManager.release_all` pops both entries of the
-finishing transaction and visits only those resources;
-:meth:`LockManager.blocked_transactions` and
-:meth:`LockManager.waits_for_edges` read the waiter index alone.  Resource
-entries themselves are never dropped — an entry carries the resource's
-conflict bitmaps, which would otherwise be re-derived from the compatibility
-callable on every grant — so the table is bounded by the store, and each
-entry is stamped with its table position to keep promotion in table order
-without a scan.
+The oracle below is the whole-table-scan ``LockManager`` exactly as it stood
+before the waiter index (``release_all``, ``waits_for_edges`` and
+``blocked_transactions`` iterate every entry of the lock table).  It lives
+here, and only here, as the reference: both managers are driven with the
+same seeded stream of ``request`` / ``acquire`` (conflict and withdrawal) /
+``cancel`` / ``release_all`` over a handful of resources, transactions and a
+directed compatibility function, and after **every** step must agree on the
+outcomes returned (in order), ``holders()``, ``waiting()``, ``locks_of()``,
+``blocked_transactions()``, the ordered ``waits_for_edges()``, the counters,
+and the invariant *waiter index == what a scan of the queues finds*.
+Promotion order, try-lock withdrawal and the upgrade bypass are all
+observable through those, so a drift in any of them fails here.
 """
 
 from __future__ import annotations
 
-import enum
+import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
+
+import pytest
 
 from repro.errors import LockConflictError
+from repro.locking import manager as indexed
+from repro.locking.manager import (
+    CompatibilityFn,
+    LockManagerStats,
+    LockRequestOutcome,
+    Mode,
+    RequestStatus,
+    Resource,
+    TxnId,
+)
 
-#: A lockable resource: any hashable value.  Protocols use tuples whose first
-#: element names the granule kind, e.g. ``("instance", oid)`` or
-#: ``("class", "c2")``.
-Resource = Hashable
-#: A lock mode: any hashable value (a method name, ``"R"``, a
-#: :class:`~repro.locking.modes.ClassLockMode`, ...).
-Mode = Hashable
-#: Transaction identifier.
-TxnId = int
-
-CompatibilityFn = Callable[[Resource, Mode, Mode], bool]
-
-#: Sentinel meaning "use the manager's default timeout" — distinct from
-#: ``None``, which means "wait forever".  Defined here (the lowest layer)
-#: so that blocking front-ends in :mod:`repro.engine` and
-#: :mod:`repro.sharding` can share it without importing each other.
-USE_DEFAULT_TIMEOUT = object()
-
-
-class RequestStatus(enum.Enum):
-    """Outcome of a lock request."""
-
-    GRANTED = "granted"
-    WAITING = "waiting"
-
-
-@dataclass(frozen=True)
-class LockRequestOutcome:
-    """What happened to a lock request."""
-
-    status: RequestStatus
-    resource: Resource
-    mode: Mode
-    txn: TxnId
-    #: Transactions whose held locks block this request (empty when granted).
-    blockers: tuple[TxnId, ...] = ()
-
-    @property
-    def granted(self) -> bool:
-        """``True`` when the lock was granted immediately."""
-        return self.status is RequestStatus.GRANTED
-
-
-@dataclass
-class LockManagerStats:
-    """Counters accumulated by the lock manager (reset with ``reset``)."""
-
-    requests: int = 0
-    grants: int = 0
-    waits: int = 0
-    upgrades: int = 0
-    redundant: int = 0
-    #: Admission checks answered by the per-resource conflict bitmap.
-    mask_checks: int = 0
-    #: Bitmap checks that admitted the request without scanning holders.
-    fast_grants: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.requests = 0
-        self.grants = 0
-        self.waits = 0
-        self.upgrades = 0
-        self.redundant = 0
-        self.mask_checks = 0
-        self.fast_grants = 0
+# -- the oracle: the scan-based manager, verbatim --------------------------------
 
 
 @dataclass
@@ -116,9 +46,6 @@ class _WaitingRequest:
 
 @dataclass
 class _ResourceEntry:
-    #: Rank of the resource in the lock table (entries are never dropped, so
-    #: this is its insertion order); sorts indexed resources in table order.
-    position: int
     #: Modes held per transaction (a transaction may hold several modes).
     holders: dict[TxnId, list[Mode]] = field(default_factory=dict)
     #: FIFO queue of waiting requests.
@@ -143,21 +70,12 @@ class LockManager:
     steady-state check is ``granted_mask & conflict[mode] == 0``; holders
     are only scanned to name the blockers of a request the bitmap refused
     (or when the requester already holds the resource).
-
-    Release, cancellation and the deadlock detector's two queries cost in
-    proportion to what the transactions involved hold and wait for, never
-    to the size of the table (see the module docstring for the indexes).
     """
 
     def __init__(self, compatible: CompatibilityFn) -> None:
         self._compatible = compatible
         self._entries: dict[Resource, _ResourceEntry] = {}
-        #: The hold index: resources each transaction holds, in hold order.
-        self._held_by_txn: dict[TxnId, dict[Resource, None]] = {}
-        #: The waiter index: every queued request, by transaction then
-        #: resource (FIFO within one resource).  No empty value is kept at
-        #: either level, so its keys are exactly the blocked transactions.
-        self._queued_by_txn: dict[TxnId, dict[Resource, list[_WaitingRequest]]] = {}
+        self._held_by_txn: dict[TxnId, OrderedDict[Resource, None]] = {}
         self.stats = LockManagerStats()
 
     # -- requesting -----------------------------------------------------------
@@ -173,10 +91,8 @@ class LockManager:
         exclusive).
         """
         self.stats.requests += 1
-        entry = self._entries.get(resource)
-        if entry is None:
-            entry = self._entries[resource] = _ResourceEntry(len(self._entries))
-        already_held = entry.holders.get(txn, ())
+        entry = self._entries.setdefault(resource, _ResourceEntry())
+        already_held = entry.holders.get(txn, [])
 
         if mode in already_held:
             self.stats.redundant += 1
@@ -192,9 +108,7 @@ class LockManager:
             self.stats.grants += 1
             return LockRequestOutcome(RequestStatus.GRANTED, resource, mode, txn)
 
-        waiting = _WaitingRequest(txn=txn, mode=mode)
-        entry.queue.append(waiting)
-        self._queued_by_txn.setdefault(txn, {}).setdefault(resource, []).append(waiting)
+        entry.queue.append(_WaitingRequest(txn=txn, mode=mode))
         self.stats.waits += 1
         return LockRequestOutcome(RequestStatus.WAITING, resource, mode, txn,
                                   blockers=tuple(blockers))
@@ -221,24 +135,23 @@ class LockManager:
         Returns the outcomes of the queued requests of *other* transactions
         that became grantable, in grant order (the caller resumes them).
         """
-        held = self._held_by_txn.pop(txn, ())
+        held = self._held_by_txn.pop(txn, OrderedDict())
         touched: list[Resource] = list(held)
         for resource in touched:
-            entry = self._entries[resource]
-            released = entry.holders.pop(txn, None)
-            if released:
-                self._retire_modes(entry, released)
-        # Drop this transaction's own waiting requests.  Resources where it
-        # was merely queued must be promoted too: removing a waiter can
-        # unblock requests that were queued behind it for fairness.
-        queued = self._queued_by_txn.pop(txn, None)
-        if queued:
-            entries = self._entries
-            for resource in queued:
-                entry = entries[resource]
-                entry.queue = [w for w in entry.queue if w.txn != txn]
-            touched.extend(sorted((r for r in queued if r not in held),
-                                  key=lambda r: entries[r].position))
+            entry = self._entries.get(resource)
+            if entry is not None:
+                released = entry.holders.pop(txn, None)
+                if released:
+                    self._retire_modes(entry, released)
+        # Drop this transaction's own waiting requests everywhere.  Resources
+        # where it was merely queued must be promoted too: removing a waiter
+        # can unblock requests that were queued behind it for fairness.
+        for resource, entry in self._entries.items():
+            remaining = [w for w in entry.queue if w.txn != txn]
+            if len(remaining) != len(entry.queue):
+                entry.queue = remaining
+                if resource not in touched:
+                    touched.append(resource)
         return self._promote(touched)
 
     def cancel(self, txn: TxnId, resource: Resource, mode: Mode) -> list[LockRequestOutcome]:
@@ -257,7 +170,7 @@ class LockManager:
         granted: list[LockRequestOutcome] = []
         for resource in resources:
             entry = self._entries.get(resource)
-            if entry is None or not entry.queue:
+            if entry is None:
                 continue
             still_waiting: list[_WaitingRequest] = []
             for waiting in entry.queue:
@@ -266,7 +179,6 @@ class LockManager:
                     still_waiting.append(waiting)
                     continue
                 self._grant(entry, waiting.txn, resource, waiting.mode)
-                self._unindex(waiting, resource)
                 self.stats.grants += 1
                 granted.append(LockRequestOutcome(RequestStatus.GRANTED, resource,
                                                   waiting.mode, waiting.txn))
@@ -291,7 +203,7 @@ class LockManager:
 
     def locks_of(self, txn: TxnId) -> dict[Resource, tuple[Mode, ...]]:
         """Every lock held by ``txn``."""
-        held = self._held_by_txn.get(txn, ())
+        held = self._held_by_txn.get(txn, OrderedDict())
         result: dict[Resource, tuple[Mode, ...]] = {}
         for resource in held:
             entry = self._entries.get(resource)
@@ -317,11 +229,7 @@ class LockManager:
         later request wait for the earlier one to be granted and released).
         """
         edges: dict[TxnId, set[TxnId]] = {}
-        entries = self._entries
-        contended = {resource for queued in self._queued_by_txn.values()
-                     for resource in queued}
-        for resource in sorted(contended, key=lambda r: entries[r].position):
-            entry = entries[resource]
+        for resource, entry in self._entries.items():
             for position, waiting in enumerate(entry.queue):
                 blockers = set(self._blockers(entry, waiting.txn, resource, waiting.mode))
                 for earlier in entry.queue[:position]:
@@ -334,7 +242,10 @@ class LockManager:
 
     def blocked_transactions(self) -> frozenset[TxnId]:
         """Transactions with at least one queued (not yet granted) request."""
-        return frozenset(self._queued_by_txn)
+        blocked = set()
+        for entry in self._entries.values():
+            blocked.update(w.txn for w in entry.queue)
+        return frozenset(blocked)
 
     # -- internals ---------------------------------------------------------------
 
@@ -367,7 +278,7 @@ class LockManager:
         queue (conversion requests jump ahead, the standard treatment that
         keeps upgrades from deadlocking behind newcomers).
         """
-        if not entry.queue or txn in entry.holders:
+        if txn in entry.holders:
             return False
         return any(not self._compatible(resource, waiting.mode, mode)
                    for waiting in entry.queue if waiting.txn != txn)
@@ -375,10 +286,7 @@ class LockManager:
     def _grant(self, entry: _ResourceEntry, txn: TxnId, resource: Resource,
                mode: Mode) -> None:
         entry.holders.setdefault(txn, []).append(mode)
-        held = self._held_by_txn.get(txn)
-        if held is None:
-            held = self._held_by_txn[txn] = {}
-        held[resource] = None
+        self._held_by_txn.setdefault(txn, OrderedDict())[resource] = None
         bit = entry.mode_bits.get(mode)
         if bit is None:
             self._register_mode(entry, resource, mode)
@@ -435,16 +343,109 @@ class LockManager:
         for position, waiting in enumerate(entry.queue):
             if waiting.txn == txn and waiting.mode == mode:
                 del entry.queue[position]
-                self._unindex(waiting, resource)
                 return
 
-    def _unindex(self, waiting: _WaitingRequest, resource: Resource) -> None:
-        """Take one request that just left ``resource``'s queue out of the
-        waiter index."""
-        queued = self._queued_by_txn[waiting.txn]
-        requests = queued[resource]
-        requests.remove(waiting)
-        if not requests:
-            del queued[resource]
-            if not queued:
-                del self._queued_by_txn[waiting.txn]
+
+# -- the model -------------------------------------------------------------------
+
+ScanLockManager = LockManager  # the oracle above; production is indexed.LockManager
+
+RESOURCES = tuple(("instance", number) for number in range(5))
+MODES = ("R", "U", "I", "W")
+LIVE_TRANSACTIONS = 6
+SEEDS = range(20)
+STEPS = 2_000
+
+#: ``(held, requested)`` pairs that commute.  Directed on purpose: a reader
+#: lets an updater in (``R`` held, ``U`` requested) but an updater keeps new
+#: readers out, so swapping the arguments anywhere changes the answer.
+_COMMUTING = frozenset({("R", "R"), ("R", "U"), ("I", "I")})
+
+
+def compatible(resource: Resource, held: Mode, requested: Mode) -> bool:
+    if resource == RESOURCES[0] and held == requested == "I":
+        return False  # per-resource tables: increments do not commute here
+    return (held, requested) in _COMMUTING
+
+
+def scan_of_queues(manager: indexed.LockManager) -> dict:
+    found: dict = {}
+    for resource, entry in manager._entries.items():
+        for waiting in entry.queue:
+            found.setdefault(waiting.txn, {}).setdefault(resource, []).append(waiting)
+    return found
+
+
+def assert_same_state(ours: indexed.LockManager, oracle: ScanLockManager,
+                      transactions: Iterable[TxnId]) -> None:
+    for resource in RESOURCES:
+        assert ours.holders(resource) == oracle.holders(resource)
+        assert list(ours.holders(resource)) == list(oracle.holders(resource))
+        assert ours.waiting(resource) == oracle.waiting(resource)
+    for txn in transactions:
+        assert list(ours.locks_of(txn).items()) == list(oracle.locks_of(txn).items())
+    assert ours.blocked_transactions() == oracle.blocked_transactions()
+    assert list(ours.waits_for_edges().items()) == \
+        list(oracle.waits_for_edges().items())
+    assert ours.stats == oracle.stats
+    index = ours._queued_by_txn
+    scanned = scan_of_queues(ours)
+    assert index == scanned
+    for txn, queued in index.items():
+        for resource, requests in queued.items():
+            assert all(a is b for a, b in zip(requests, scanned[txn][resource]))
+
+
+def try_acquire(manager, txn, resource, mode):
+    try:
+        manager.acquire(txn, resource, mode)
+    except LockConflictError as error:
+        return ("conflict", str(error), error.holders)
+    return ("granted",)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_indexed_manager_matches_the_table_scan_oracle(seed):
+    rng = random.Random(seed)
+    ours = indexed.LockManager(compatible)
+    oracle = ScanLockManager(compatible)
+    live = list(range(1, LIVE_TRANSACTIONS + 1))
+    next_txn = LIVE_TRANSACTIONS + 1
+    seen = {"waited": 0, "withdrawn": 0, "promoted": 0, "bypassed": 0}
+    for _ in range(STEPS):
+        txn = rng.choice(live)
+        resource = rng.choice(RESOURCES)
+        mode = rng.choice(MODES)
+        roll = rng.random()
+        if roll < 0.45:
+            held_before = bool(oracle.holders(resource).get(txn))
+            queue_before = oracle.waiting(resource)
+            mine, theirs = ours.request(txn, resource, mode), \
+                oracle.request(txn, resource, mode)
+            assert mine == theirs
+            seen["waited"] += not theirs.granted
+            seen["bypassed"] += theirs.granted and held_before and bool(queue_before)
+        elif roll < 0.65:
+            mine, theirs = try_acquire(ours, txn, resource, mode), \
+                try_acquire(oracle, txn, resource, mode)
+            assert mine == theirs
+            seen["withdrawn"] += theirs[0] == "conflict"
+        elif roll < 0.75:
+            queued = [(waiter, resource_, mode_) for resource_ in RESOURCES
+                      for waiter, mode_ in oracle.waiting(resource_)]
+            if queued and rng.random() < 0.8:
+                txn, resource, mode = rng.choice(queued)
+            mine, theirs = ours.cancel(txn, resource, mode), \
+                oracle.cancel(txn, resource, mode)
+            assert mine == theirs
+            seen["promoted"] += len(theirs)
+        else:
+            mine, theirs = ours.release_all(txn), oracle.release_all(txn)
+            assert mine == theirs
+            seen["promoted"] += len(theirs)
+            if rng.random() < 0.5:  # identifiers are mostly, not always, fresh
+                live[live.index(txn)] = next_txn
+                next_txn += 1
+        assert_same_state(ours, oracle, live)
+    # The stream must actually have walked the paths the test is named for.
+    assert all(count > 20 for count in seen.values()), seen
