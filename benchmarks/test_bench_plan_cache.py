@@ -4,10 +4,11 @@ PR 10 moved the paper's compile-time artefacts onto the execution hot
 path; this bench measures each payoff in isolation and records them to
 ``BENCH_plan_cache.json``:
 
-1. **Cached vs uncached planning** — repeated structural plans answered
-   from the :class:`~repro.txn.plan_cache.PlanCache` dict versus re-running
-   the TAV planner, with the ≥95% steady-state hit-rate floor asserted on
-   a real workload run.
+1. **Template vs planner** — a structural ``MethodCall`` planned through
+   :class:`~repro.txn.plan_cache.PlanCache` (its OID substituted into the
+   template the protocol compiled at construction) versus re-running the
+   TAV planner, with the ≥95% template-served floor asserted on a real
+   workload run (one count per locked operation).
 2. **Bitmap admission** — the lock manager's per-resource conflict
    bitmaps (``granted_mask & conflict[mode]``) are asked and answer
    without a holder scan (the scan they replaced measured 1.71x slower in
@@ -21,8 +22,8 @@ path; this bench measures each payoff in isolation and records them to
    locked path, plus the zero-lock-acquisition assertion on a direct
    engine.
 
-Reading the numbers: row 1 is a microbenchmark time ratio (dict hit over
-planner run), row 2 is counters, rows 3–4 are harness commits/sec under
+Reading the numbers: row 1 is a microbenchmark time ratio (template
+substitution over planner run), row 2 is counters, rows 3–4 are harness commits/sec under
 identical workloads.  The ratios are recorded always and enforced under
 ``REPRO_BENCH_FLOORS=1`` (see ``conftest.wall_clock_floor``).  Every concurrent run is still
 verified serializable, and the order-entry runs additionally check the
@@ -66,7 +67,7 @@ def _order_entry_harness(read_mix: float = 0.0) -> ThroughputHarness:
 
 
 def _time_planning() -> tuple[float, float, float]:
-    """(uncached seconds, cached seconds, steady-state hit rate)."""
+    """(planner seconds, template seconds, template-served share)."""
     schema = order_entry_schema()
     compiled = compile_schema(schema)
     store = populate_store(schema, POPULATION, seed=11)
@@ -80,7 +81,6 @@ def _time_planning() -> tuple[float, float, float]:
     uncached = time.perf_counter() - started
 
     cache = PlanCache(protocol)
-    cache.plan(operation)  # warm the single entry
     started = time.perf_counter()
     for _ in range(PLAN_ROUNDS):
         cache.plan(operation)
@@ -158,8 +158,8 @@ def test_plan_cache_payoff(benchmark):
     assert exclusive.invariant_violations == ()
     assert escrowed.invariant_violations == ()
 
-    # 1. Plan caching: the dict hit beats re-planning, and a steady-state
-    # workload run answers ≥95% of its plan requests from the cache.
+    # 1. Compiled templates: substituting the OID beats re-planning, and a
+    # steady-state workload run plans ≥95% of its operations from templates.
     uncached_s, cached_s, micro_hit_rate = _time_planning()
     plan_speedup = uncached_s / cached_s
     assert micro_hit_rate >= 0.95

@@ -623,31 +623,35 @@ class ReplayApplierRule(Rule):
 
 
 class PlanViaCacheRule(Rule):
-    """L9: hot-path code obtains lock plans through the plan cache.
+    """L9: hot-path code plans through the one entry point, compiles at setup.
 
-    The compiled analysis only pays at runtime if its products are reused:
-    structural plans are memoized per argument shape in
-    :class:`~repro.txn.plan_cache.PlanCache` (which the engine invalidates
-    on ``create_instance``/``delete_instance``), and the schema is compiled
-    once at setup.  In ``repro.engine``/``repro.sharding`` a direct
-    ``protocol.plan(...)`` call — any ``.plan()`` whose receiver is not the
-    cache — forfeits both the memoization and its invalidation hook, and a
+    Lock modes are decided a priori: each protocol compiles its
+    ``MethodCall`` plan templates from the compiled schema when it is
+    built, and :class:`~repro.txn.plan_cache.PlanCache` is the one place
+    the engine and the shard worker ask for a plan — a template plan,
+    flagged final so it is acquired in one round and never re-planned, or
+    ``protocol.plan()`` for a data-dependent operation.  In
+    ``repro.engine``/``repro.sharding`` a direct ``.plan()`` or
+    ``.template_plan()`` call on anything but the entry point loses that
+    finality flag and the plan counters the rig reads, and a
     ``compile_schema(...)`` call outside an ``__init__`` re-runs the whole
-    closure/TAV analysis per operation.  Shadow-run protocols whose plans
-    are data-dependent still go through the cache (it classifies them
-    uncacheable and delegates); a deliberate uncached plan is suppressible
-    with ``# repro-lint: disable=L9``.
+    closure/TAV analysis (and, through a new protocol, the template
+    compilation) per call.  A deliberate exception is suppressible with
+    ``# repro-lint: disable=L9``.
     """
 
     code = "L9"
     title = "engine/sharding code plans via the PlanCache, compiles at setup"
-    historical = ("PR 10's plan caching: the engine re-ran the TAV planner "
-                  "on every operation of every transaction; once plans were "
-                  "memoized per (class, method, argument shape), a stray "
-                  "protocol.plan() on the hot path would silently forfeit "
-                  "the cache and its create/delete invalidation")
+    historical = ("compiled plan templates replaced a per-OID plan memo: "
+                  "the engine used to plan every operation twice (the plan, "
+                  "then a refresh to see whether it grew) even when the "
+                  "compiler had fixed the plan; a plan taken around the "
+                  "PlanCache entry point would lose the final flag that "
+                  "skips the refresh")
 
-    #: Receiver-name fragments that identify the cache itself
+    #: The planner entry points a hot-path call must not reach directly.
+    _PLANNERS = ("plan", "template_plan")
+    #: Receiver-name fragments that identify the entry point itself
     #: (``self._plans.plan(...)``, ``cache.plan(...)``).
     _CACHE_HINTS = ("plans", "cache")
 
@@ -662,22 +666,22 @@ class PlanViaCacheRule(Rule):
             if self._is_direct_plan(node):
                 yield self._finding(
                     module, node,
-                    f"direct {_receiver_hint(node.func)}.plan() in "
-                    f"{qualname or '<module>'} — hot-path code plans "
-                    f"through the PlanCache (plan cache hit rate and "
-                    f"create/delete invalidation both depend on it)")
+                    f"direct {_receiver_hint(node.func)}.{node.func.attr}() "
+                    f"in {qualname or '<module>'} — hot-path code plans "
+                    f"through the PlanCache (the final flag that skips the "
+                    f"refresh round and the plan counters come from it)")
             elif self._is_hot_compile(node, qualname):
                 yield self._finding(
                     module, node,
                     f"compile_schema() in {qualname or '<module>'} — the "
                     f"schema is compiled once at setup (__init__); "
                     f"recompiling per call re-runs the closure/TAV "
-                    f"analysis the cache exists to amortise")
+                    f"analysis the plan templates are built from")
 
     @classmethod
     def _is_direct_plan(cls, node: ast.Call) -> bool:
         func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "plan":
+        if not isinstance(func, ast.Attribute) or func.attr not in cls._PLANNERS:
             return False
         hint = _receiver_hint(func).lower()
         return not any(fragment in hint for fragment in cls._CACHE_HINTS)

@@ -120,10 +120,11 @@ from repro.wal.log import DecisionLog, WriteAheadLog
 
 T = TypeVar("T")
 
-#: Bound on plan-refresh rounds after all locks of the current plan are held.
-#: Each round only ever *adds* requests, and plans are derived from a finite
-#: store, so two rounds normally reach the fixpoint; the bound guards against
-#: a pathological workload growing the store faster than it can be planned.
+#: Bound on acquisition rounds of a data-dependent plan (a template plan is
+#: final and takes one).  Each refresh only ever *adds* requests, and plans
+#: are derived from a finite store, so two rounds normally reach the
+#: fixpoint; the bound guards against a pathological workload growing the
+#: store faster than it can be planned.
 _MAX_REPLAN_ROUNDS = 16
 
 #: The span of an untraced stage and the scope of an unsanitized operation:
@@ -247,10 +248,10 @@ class Engine:
         self._escrow_requested = bool(escrow)
         self._escrow: EscrowLedger | None = (
             self._backend.enable_escrow(execution_store) if escrow else None)
-        #: Memoized structural lock plans (the hot path's dict hit).
+        #: The planning entry point: compiled templates, else the planner.
         self._plans = PlanCache(protocol)
         #: Bumped by structural changes (create/delete); part of the
-        #: snapshot-read cache key and the plan cache's invalidation epoch.
+        #: snapshot-read cache key.
         self._structural_epoch = 0
         #: ``(key, interpreter)`` of the last built read-only snapshot.
         self._snapshot_cache: tuple[tuple[int, int], Interpreter] | None = None
@@ -517,10 +518,11 @@ class Engine:
                 timeout: float | None | object = USE_DEFAULT_TIMEOUT) -> list[Any]:
         """Plan, lock (blocking), log before-images and execute ``operation``.
 
-        The plan is re-derived after every batch of acquisitions until it
-        stops growing, exactly like the simulator: data may change while the
-        transaction is blocked, and the refreshed plan may need locks the
-        stale one did not know about.
+        A plan served by a compiled template is final and is acquired in
+        one round.  A data-dependent plan is re-derived after every batch
+        of acquisitions until it stops growing, exactly like the simulator:
+        data may change while the transaction is blocked, and the refreshed
+        plan may need locks the stale one did not know about.
 
         Raises:
             DeadlockError: this transaction was chosen as a deadlock victim
@@ -535,7 +537,7 @@ class Engine:
             if results is not None:
                 return results
             # No snapshot source in this process: the ordinary locked path.
-        plan = self._plan(operation)
+        plan, final = self._plan(operation)
         transaction.stats.control_points += plan.control_points
         if self._escrow is not None and not transaction.read_only:
             results = self._maybe_escrow(transaction, operation, plan,
@@ -554,8 +556,8 @@ class Engine:
             # Fallback: the shard's replan escaped it.  Its partial
             # acquisitions were recorded; the path below re-requests them
             # (an immediate grant) and runs the operation here.
-        plan = self._acquire_plan(transaction, plan, operation, timeout,
-                                  root=root)
+        plan = self._acquire_plan(transaction, plan, final, operation,
+                                  timeout, root=root)
         projections = self._protocol.undo_projections(plan)
         for oid, fields in projections:
             self._recovery.log_before_image(transaction.txn_id, oid, fields)
@@ -581,29 +583,28 @@ class Engine:
         return results
 
     def _acquire_plan(self, transaction: Transaction, plan: LockPlan,
-                      operation: Operation,
+                      final: bool, operation: Operation,
                       timeout: float | None | object, *,
                       root: Span | None = None) -> LockPlan:
+        """Acquire ``plan``; refresh a data-dependent one until it stops
+        growing.  Returns the plan whose receivers the operation runs on."""
         acquired: set[tuple[Any, Any]] = set()
+        pending = [(request.resource, request.mode) for request in plan.requests]
         for _ in range(_MAX_REPLAN_ROUNDS):
-            pending = [(request.resource, request.mode)
-                       for request in plan.requests
-                       if (request.resource, request.mode) not in acquired]
             # A whole round goes to the lock front at once: it groups the
             # requests by shard and ships each group the cheapest way the
             # shard's handle supports (one acquire-batch RPC per worker
             # shard instead of one round trip per lock).
             if pending:
                 self._acquire_round(transaction, pending, timeout, root)
+            if final:
+                return plan
             acquired.update(pending)
-            refreshed = self._plan(operation)
+            refreshed, _template = self._plans.plan(operation)
             extra = tuple(r for r in refreshed.requests
                           if (r.resource, r.mode) not in acquired)
-            if not extra:
-                return LockPlan(requests=plan.requests,
-                                control_points=plan.control_points,
-                                receivers=refreshed.receivers,
-                                undo_projections=refreshed.undo_projections)
+            final = not extra
+            pending = [(request.resource, request.mode) for request in extra]
             plan = LockPlan(requests=plan.requests + extra,
                             control_points=plan.control_points,
                             receivers=refreshed.receivers,
@@ -668,11 +669,12 @@ class Engine:
 
     # -- the analysis's runtime payoff ---------------------------------------------
 
-    def _plan(self, operation: Operation) -> LockPlan:
-        """The operation's lock plan, memoized when it is structural."""
-        plan, hit = self._plans.plan(operation)
-        self.metrics.record_plan_cache(hit)
-        return plan
+    def _plan(self, operation: Operation) -> tuple[LockPlan, bool]:
+        """The operation's lock plan and whether it is final (served by a
+        compiled template); counted once per locked operation."""
+        plan, final = self._plans.plan(operation)
+        self.metrics.record_plan_cache(final)
+        return plan, final
 
     def _escrow_update_for(self, operation: MethodCall) -> EscrowUpdate | None:
         """The proved counter-update shape of this call, or ``None``.
@@ -1003,8 +1005,7 @@ class Engine:
         self._note_structural_change()
 
     def _note_structural_change(self) -> None:
-        """Population changed: extent/domain plans and snapshots are stale."""
-        self._plans.invalidate()
+        """Population changed: cached snapshots are stale."""
         with self._snapshot_mutex:
             self._structural_epoch += 1
             self._snapshot_cache = None
@@ -1216,7 +1217,8 @@ class Engine:
 
     @property
     def plan_cache(self) -> PlanCache:
-        """The memoized lock-plan cache the hot path plans through."""
+        """The planning entry point the hot path plans through (compiled
+        templates, else ``protocol.plan()``), with its counters."""
         return self._plans
 
     @property

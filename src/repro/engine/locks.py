@@ -27,6 +27,7 @@ from repro.locking.manager import (  # noqa: F401 - USE_DEFAULT_TIMEOUT re-expor
     USE_DEFAULT_TIMEOUT,
     LockManager,
     Mode,
+    RequestStatus,
     Resource,
     TxnId,
 )
@@ -102,9 +103,10 @@ class BlockingLockManager:
         if timeout is USE_DEFAULT_TIMEOUT:
             timeout = self._default_timeout
         with self._mutex:
-            self._ensure_not_doomed(txn)
+            if txn in self._doomed:
+                self._raise_doomed(txn)
             outcome = self._inner.request(txn, resource, mode)
-            if outcome.granted:
+            if outcome.status is RequestStatus.GRANTED:
                 return 0.0
             if timeout is not None and timeout <= 0:
                 # Fail-fast try-lock: withdraw atomically with the probe.
@@ -283,10 +285,6 @@ class BlockingLockManager:
         promoted = self._inner.cancel(txn, resource, mode)
         if promoted:
             self._changed.notify_all()
-
-    def _ensure_not_doomed(self, txn: TxnId) -> None:
-        if txn in self._doomed:
-            self._raise_doomed(txn)
 
     def _raise_doomed(self, txn: TxnId, waited: float = 0.0) -> None:
         cycle = self._doomed[txn]

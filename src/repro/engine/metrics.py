@@ -80,9 +80,11 @@ class EngineMetrics:
     #: round-trip count; 0 in-process).  One pipelined batch or program is
     #: one frame however many commands it carries.
     frames_sent: int = 0
-    #: Lock-plan cache hits (plans reused without re-running the planner).
+    #: Locked operations whose plan a compiled template served (final: one
+    #: acquisition round, no refresh).  Counted once per locked operation.
     plan_cache_hits: int = 0
-    #: Lock-plan cache misses (the planner really ran).
+    #: Locked operations planned by ``protocol.plan()`` (data-dependent:
+    #: extent/domain receivers, external sends, shadow-run protocols).
     plan_cache_misses: int = 0
     #: Operations admitted under the non-exclusive escrow mode (no ordinary
     #: lock taken; the counter delta merged directly).
@@ -278,7 +280,7 @@ class EngineMetrics:
 
     @property
     def plan_cache_hit_rate(self) -> float:
-        """Cache hits over all plan lookups (0.0 before any lookup)."""
+        """Template-served share of locked operations (0.0 before any)."""
         lookups = self.plan_cache_hits + self.plan_cache_misses
         if lookups == 0:
             return 0.0

@@ -22,7 +22,8 @@ from repro.reporting.tables import format_records
 #: frames — the two round-trip budgets the batching work drives down.
 #: ``p50_ms``/``p95_ms``/``p99_ms`` are commit-latency percentiles from the
 #: engine's mergeable log-scaled histogram (see :mod:`repro.obs.histogram`).
-#: ``plan_hit`` is the structural plan cache's steady-state hit rate,
+#: ``plan_hit`` is the share of locked operations planned from a compiled
+#: template,
 #: ``escrow`` the operations admitted in commutative escrow mode, and
 #: ``snap_reads`` the read-only operations served from the lock-free
 #: snapshot path — the three runtime-payoff counters.  ``invariant`` is the

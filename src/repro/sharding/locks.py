@@ -56,6 +56,9 @@ class ShardedLockFront:
             raise ValueError(f"router expects {router.num_shards} shards, "
                              f"got {len(shards)} lock managers")
         self._shards = tuple(shards)
+        #: The one shard handle when there is one and it has no batch verb.
+        self._single = (self._shards[0] if len(self._shards) == 1 and not
+                        hasattr(self._shards[0], "acquire_batch") else None)
         self._router = router
         self.victim_key = victim_key
         #: Shards each live transaction has acquired (or queued) on.
@@ -107,7 +110,18 @@ class ShardedLockFront:
         caller's abort to release).  Returns seconds blocked, aligned with
         ``requests``.  Within a shard the plan's request order is kept;
         shards proceed in index order so the grouping is deterministic.
+        A single shard handle without ``acquire_batch`` is walked directly,
+        with nothing to group or sort.
         """
+        single = self._single
+        if single is not None:
+            if requests and txn not in self._touched:
+                self._touched[txn] = {0}
+            if trace is None:
+                return [single.acquire(txn, resource, mode, timeout)
+                        for resource, mode in requests]
+            return [single.acquire(txn, resource, mode, timeout, trace=trace)
+                    for resource, mode in requests]
         groups: dict[int, list[int]] = {}
         for index, (resource, _mode) in enumerate(requests):
             shard_id = self._route_cache.get(resource)

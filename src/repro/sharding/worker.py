@@ -168,10 +168,8 @@ class ShardWorker:
         self._store = populate_store(self._schema, instances,
                                      seed=populate_seed)
         self._protocol = PROTOCOLS[protocol](self._compiled, self._store)
-        #: Memoized structural plans for the fused path's replan loop.  A
-        #: worker's population is fixed after spawn (the engine refuses
-        #: mid-epoch create/delete in worker mode), so no invalidation
-        #: hook is needed here.
+        #: The fused path's planning entry point (compiled templates, else
+        #: ``protocol.plan()`` and a refresh loop).
         self._plans = PlanCache(self._protocol)
         self._locks = BlockingLockManager(self._protocol.create_lock_manager(),
                                           default_timeout=lock_timeout)
@@ -695,12 +693,13 @@ class ShardWorker:
         return results, writes
 
     def _execute_fused(self, request: rpc.ExecuteFused) -> rpc.FusedDone:
-        """Fused plan+execute: plan, lock, replan, log and run — all here.
+        """Fused plan+execute: plan, lock, log and run — all here.
 
-        The coordinator only verified its *initial* plan routes to this
-        shard; data may shift while locks are awaited, so every refreshed
-        plan is re-checked and an escape answers a fallback reply instead
-        of touching off-shard state.
+        A template plan is final: one pass.  The coordinator only verified
+        its *initial* plan routes to this shard; a data-dependent plan may
+        shift while locks are awaited, so it is refreshed until it stops
+        growing, every refresh is re-checked, and an escape answers a
+        fallback reply instead of touching off-shard state.
         """
         txn = request.txn
         self._log_images(txn, request.images)
@@ -714,8 +713,7 @@ class ShardWorker:
             return rpc.FusedDone(fallback=True,
                                  resources=self._encode_acquired(acquired))
 
-        plan, _cached = self._plans.plan(operation)
-        final = None
+        plan, final = self._plans.plan(operation)
         for _ in range(_FUSED_REPLAN_ROUNDS):
             if any(self._router.shard_of_oid(oid) != self.shard_id
                    for oid, _method in plan.receivers):
@@ -729,19 +727,18 @@ class ShardWorker:
                     return fallback()
                 acquired[key] = self._acquire_one_local(
                     txn, lock_request.resource, lock_request.mode, timeout)
-            refreshed, _cached = self._plans.plan(operation)
-            if all((r.resource, r.mode) in acquired
-                   for r in refreshed.requests):
-                final = refreshed
+            if final:
                 break
-            plan = refreshed
-        if final is None:
+            plan, _template = self._plans.plan(operation)
+            final = all((r.resource, r.mode) in acquired
+                        for r in plan.requests)
+        else:
             raise ReproError(
                 f"fused lock plan of {operation!r} did not converge within "
                 f"{_FUSED_REPLAN_ROUNDS} refresh rounds")
         # Before-images computed *under the held locks* — the coordinator
         # could not have known them when it shipped the operation.
-        projections = tuple(self._protocol.undo_projections(final))
+        projections = tuple(self._protocol.undo_projections(plan))
         for oid, fields in projections:
             self._recovery.log_before_image(txn, oid, fields)
         self._note_images(txn, projections)

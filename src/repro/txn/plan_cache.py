@@ -1,26 +1,26 @@
-"""Memoized lock plans for structural operations.
+"""The one planning entry point: compiled templates, else the planner.
 
-The compile-time analysis makes most lock plans *structural*: for the TAV
-and relational protocols, an operation with no external sends yields a plan
-that is a pure function of (operation kind, target, method, argument shape)
-— the TAV projections and resolution-graph walks performed by ``plan()``
-rediscover the same answer on every call.  :class:`PlanCache` memoizes those
-plans so the steady-state hot path is a dict hit.
+The paper's compiler fixes each method's access modes *a priori*.  So for
+the TAV and relational protocols a ``MethodCall`` whose method exists and
+has no external sends is planned by substituting its OID into the
+:class:`~repro.txn.protocols.base.PlanTemplate` the protocol compiled at
+construction, and that plan is **final**: it cannot grow while the
+transaction waits, so the engine and the shard worker acquire it in one
+round and never re-plan.  Every other operation is data-dependent (extent
+and domain receivers, external sends, unknown methods, the shadow-run
+protocols) and goes to ``protocol.plan()``, whose callers refresh it until
+it stops growing.  Nothing is memoised, so a population change invalidates
+nothing.
 
-Cacheability is decided by the protocol itself through
-:meth:`~repro.txn.protocols.base.ConcurrencyControlProtocol.plan_cache_key`:
-``None`` (the default, and always the answer for the shadow-run protocols)
-bypasses the cache.  Extent and domain plans embed store extents in their
-receiver lists, so the cache must be invalidated whenever the instance
-population or the schema changes — the engine calls :meth:`PlanCache.invalidate`
-from ``create_instance``/``delete_instance`` and the invalidation hook is
-public for schema/protocol changes.
+The module and class keep their names because the benchmark rig imports
+``repro.txn.plan_cache.PlanCache``, builds ``PlanCache(protocol)`` and
+times ``PlanCache.plan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.operations import Operation
@@ -29,80 +29,45 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class PlanCacheStats:
-    """Counters accumulated by one plan cache."""
+    """Counters of one planning entry point."""
 
+    #: Plans served from a compiled template (final plans).
     hits: int = 0
+    #: ``protocol.plan()`` calls (data-dependent plans and their refreshes).
     misses: int = 0
-    #: Operations whose protocol declared the plan data-dependent.
-    uncacheable: int = 0
-    invalidations: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Cacheable lookups (hits + misses)."""
-        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of cacheable lookups answered from the cache."""
-        lookups = self.lookups
+        """Fraction of plans served from a template."""
+        lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = 0
-        self.misses = 0
-        self.uncacheable = 0
-        self.invalidations = 0
-
     def as_dict(self) -> dict[str, float]:
-        """Counters plus the derived hit rate, for metrics snapshots."""
+        """Counters plus the derived hit rate, for metrics snapshots.
+
+        ``plan_cache_uncacheable`` keeps its key: every plan not served by
+        a template is data-dependent, so it equals the misses.
+        """
         return {"plan_cache_hits": self.hits,
                 "plan_cache_misses": self.misses,
-                "plan_cache_uncacheable": self.uncacheable,
+                "plan_cache_uncacheable": self.misses,
                 "plan_cache_hit_rate": round(self.hit_rate, 4)}
 
 
 class PlanCache:
-    """Per-protocol memo of structural lock plans.
+    """Plans operations for one protocol; holds no plans (the name is kept
+    for the benchmark rig, which builds and times it)."""
 
-    ``LockPlan`` is a frozen dataclass of tuples, so one cached plan can be
-    shared by every transaction that performs the same structural operation.
-    """
-
-    def __init__(self, protocol: "ConcurrencyControlProtocol",
-                 max_entries: int = 4096) -> None:
+    def __init__(self, protocol: "ConcurrencyControlProtocol") -> None:
         self._protocol = protocol
-        self._plans: dict[Hashable, "LockPlan"] = {}
-        self._max_entries = max_entries
         self.stats = PlanCacheStats()
 
     def plan(self, operation: "Operation") -> tuple["LockPlan", bool]:
-        """The plan for ``operation`` plus whether it came from the cache."""
-        key = self._protocol.plan_cache_key(operation)
-        if key is None:
-            self.stats.uncacheable += 1
-            return self._protocol.plan(operation), False
-        cached = self._plans.get(key)
-        if cached is not None:
+        """``(plan, True)`` when a template served it — the plan is final —
+        else ``(protocol.plan(operation), False)``."""
+        plan = self._protocol.template_plan(operation)
+        if plan is not None:
             self.stats.hits += 1
-            return cached, True
+            return plan, True
         self.stats.misses += 1
-        plan = self._protocol.plan(operation)
-        if len(self._plans) >= self._max_entries:
-            self._plans.clear()
-        self._plans[key] = plan
-        return plan, False
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (schema, protocol or population change)."""
-        self._plans.clear()
-        self.stats.invalidations += 1
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    @property
-    def protocol(self) -> "ConcurrencyControlProtocol":
-        """The protocol whose plans this cache memoizes."""
-        return self._protocol
+        return self._protocol.plan(operation), False

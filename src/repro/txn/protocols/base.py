@@ -8,7 +8,7 @@ from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.compiler import CompiledSchema
 from repro.core.modes import AccessMode
-from repro.locking.manager import LockManager
+from repro.locking.manager import LockManager, frozen
 from repro.locking.modes import escrow_compatible
 from repro.objects.interpreter import ExecutionTrace, Interpreter, MessageEvent
 from repro.objects.oid import OID
@@ -65,12 +65,45 @@ class LockPlan:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def resources(self) -> tuple[Hashable, ...]:
-        """The distinct resources named by the plan, in first-use order."""
-        seen: dict[Hashable, None] = {}
-        for request in self.requests:
-            seen.setdefault(request.resource, None)
-        return tuple(seen)
+
+class PlanTemplate:
+    """The lock plan of one ``MethodCall`` shape, decided a priori.
+
+    Built once, at protocol construction, from the plan the protocol's own
+    per-instance planner gives a placeholder receiver of the class.
+    Requests that do not name the receiver (class and relation locks) are
+    kept as shared :class:`LockRequestSpec` objects; requests whose resource
+    ends with the receiver (instance and tuple locks) keep their resource
+    prefix.  :meth:`instantiate` substitutes the real OID — the whole
+    per-operation cost of planning a method whose footprint the compiler
+    already knows.
+    """
+
+    __slots__ = ("_parts", "_control_points", "_method", "_written")
+
+    def __init__(self, plan: LockPlan, receiver: OID,
+                 written: tuple[str, ...]) -> None:
+        ((_receiver, self._method),) = plan.receivers
+        self._parts = tuple(
+            (request.resource[:-1], request.mode, request.note)
+            if request.resource[-1] is receiver else request
+            for request in plan.requests)
+        self._control_points = plan.control_points
+        #: The TAV write set of the method: the undo projection (§3).
+        self._written = written
+
+    def instantiate(self, oid: OID) -> LockPlan:
+        """The final plan of this method sent to ``oid``."""
+        return frozen(
+            LockPlan,
+            requests=tuple([
+                part if part.__class__ is LockRequestSpec
+                else frozen(LockRequestSpec, resource=part[0] + (oid,),
+                            mode=part[1], note=part[2])
+                for part in self._parts]),
+            control_points=self._control_points,
+            receivers=((oid, self._method),),
+            undo_projections=((oid, self._written),))
 
 
 class ConcurrencyControlProtocol(abc.ABC):
@@ -93,6 +126,9 @@ class ConcurrencyControlProtocol(abc.ABC):
         self._store = store
         self._schema: Schema = compiled.schema
         self._builtins = dict(builtins) if builtins else None
+        #: Compiled ``MethodCall`` templates by ``(class, method, as_class)``;
+        #: empty for protocols whose plans come from a shadow run.
+        self._templates: dict[tuple[str, str, str | None], PlanTemplate] = {}
 
     # -- to implement -----------------------------------------------------------
 
@@ -106,39 +142,49 @@ class ConcurrencyControlProtocol(abc.ABC):
 
     # -- provided ----------------------------------------------------------------
 
-    def plan_cache_key(self, operation: Operation) -> Hashable | None:
-        """A memoization key for ``operation``'s plan, or ``None``.
+    def template_plan(self, operation: Operation) -> LockPlan | None:
+        """``operation``'s plan from its compiled template, or ``None``.
 
-        ``None`` means the plan is data-dependent (derived from a shadow run
-        of the actual arguments) and must not be cached.  Protocols whose
-        plans are purely structural — a function of (operation kind, class,
-        method) only — override this to return a hashable key.
+        A template exists for a ``MethodCall`` whose method exists and has
+        no external sends: its plan cannot depend on argument values or on
+        the store, so it is **final** — equal to :meth:`plan` now and after
+        any wait.  ``None`` sends the caller to :meth:`plan` (extent and
+        domain receivers, external sends, unknown methods, shadow-run
+        protocols).
         """
-        return None
-
-    def _structural_cache_key(self, operation: Operation) -> Hashable | None:
-        """The shared cache key for protocols with structural plans.
-
-        Valid only when the operation has no external sends: then the plan
-        never looks at argument *values*, so (kind, target, method, argument
-        shape) identifies it.  Extent and domain plans still embed store
-        extents in their receivers, which is why the engine invalidates the
-        cache on instance creation/deletion.
-        """
-        if self._needs_shadow_run(operation):
+        if not isinstance(operation, MethodCall):
             return None
-        shape = tuple(type(argument).__name__ for argument in operation.arguments)
-        if isinstance(operation, MethodCall):
-            return ("method", operation.oid, operation.method,
-                    operation.as_class, shape)
-        if isinstance(operation, ExtentCall):
-            return ("extent", operation.class_name, operation.method, shape)
-        if isinstance(operation, DomainSomeCall):
-            return ("domain-some", operation.class_name, operation.method,
-                    operation.oids, shape)
-        if isinstance(operation, DomainAllCall):
-            return ("domain-all", operation.class_name, operation.method, shape)
-        return None
+        oid = operation.oid
+        template = self._templates.get(
+            (oid.class_name, operation.method, operation.as_class))
+        return None if template is None else template.instantiate(oid)
+
+    def _register_templates(self, *, by_as_class: bool) -> None:
+        """Compile one template per (class, method) without external sends.
+
+        Each is :meth:`plan` of the call on a placeholder receiver, taken
+        once, here: what a subclass's ``plan`` answers at construction is
+        what its templates keep.  Every ``as_class`` a prefixed send may
+        name (the class's linearisation) gets a key; when ``by_as_class``
+        is false the protocol's plans ignore it, so all of them share one
+        template.
+        """
+        for class_name in self._schema.class_names:
+            compiled = self._compiled.compiled_class(class_name)
+            receiver = OID(class_name, -1)
+            views = (None,) + self._schema.linearization(class_name)
+            for method in compiled.methods:
+                if compiled.has_external_sends(method):
+                    continue
+                written = compiled.tav(method).written_fields
+                template = None
+                for as_class in views:
+                    if template is None or by_as_class:
+                        template = PlanTemplate(
+                            self.plan(MethodCall(oid=receiver, method=method,
+                                                 as_class=as_class)),
+                            receiver, written)
+                    self._templates[(class_name, method, as_class)] = template
 
     def create_lock_manager(self) -> LockManager:
         """A lock manager wired to this protocol's compatibility function.

@@ -78,6 +78,8 @@ class RelationalProtocol(ConcurrencyControlProtocol):
         self._descendants = {name: self._schema.descendants(name)
                              for name in class_names}
         self._domains = {name: self._schema.domain(name) for name in class_names}
+        # The static class picks the relations a call touches (§3).
+        self._register_templates(by_as_class=True)
 
     # -- compatibility ---------------------------------------------------------------
 
@@ -139,10 +141,6 @@ class RelationalProtocol(ConcurrencyControlProtocol):
                               if request.resource[0] == "relation"})
         return LockPlan(requests=tuple(requests), control_points=control_points,
                         receivers=tuple(receivers))
-
-    def plan_cache_key(self, operation: Operation) -> Hashable | None:
-        """Relational plans are structural when the method has no external sends."""
-        return self._structural_cache_key(operation)
 
     # -- helpers -----------------------------------------------------------------------------
 

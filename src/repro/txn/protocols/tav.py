@@ -57,6 +57,9 @@ class TAVProtocol(ConcurrencyControlProtocol):
                          for name in self._schema.class_names}
         self._intentional_modes: dict[str, ClassLockMode] = {}
         self._hierarchical_modes: dict[str, ClassLockMode] = {}
+        # The instance mode is the method whatever class the call is typed
+        # through, so every as_class view shares its class's template.
+        self._register_templates(by_as_class=False)
 
     def _class_mode(self, method: str, hierarchical: bool) -> ClassLockMode:
         cache = self._hierarchical_modes if hierarchical else self._intentional_modes
@@ -131,10 +134,6 @@ class TAVProtocol(ConcurrencyControlProtocol):
         control_points += self._plan_external_receivers(operation, requests, receivers)
         return LockPlan(requests=tuple(requests), control_points=control_points,
                         receivers=tuple(receivers))
-
-    def plan_cache_key(self, operation: Operation) -> Hashable | None:
-        """TAV plans are structural whenever the method has no external sends."""
-        return self._structural_cache_key(operation)
 
     # -- helpers ---------------------------------------------------------------------
 

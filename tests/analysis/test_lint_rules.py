@@ -399,6 +399,21 @@ class ShardWorker:
     assert "once at setup" in findings[0].message
 
 
+def test_l9_fires_on_a_template_plan_taken_around_the_entry_point(tmp_path):
+    tree = write_tree(tmp_path, {"repro/sharding/worker.py": '''
+class ShardWorker:
+    def _execute_fused(self, request):
+        plan = self._protocol.template_plan(request.operation)
+        if plan is None:
+            plan = self._protocol.plan(request.operation)
+        return plan
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L9", "L9"]
+    assert "template_plan()" in findings[0].message
+    assert "final flag" in findings[0].message
+
+
 def test_l9_allows_cache_plans_and_setup_compilation(tmp_path):
     tree = write_tree(tmp_path, {"repro/engine/fastpath.py": '''
 from repro.core import compile_schema
@@ -408,7 +423,9 @@ class Engine:
         self._compiled = compile_schema(schema)
 
     def execute(self, transaction, operation):
-        plan, hit = self._plans.plan(operation)
+        plan, final = self._plans.plan(operation)
+        while not final:
+            plan, final = self._plans.plan(operation)
         return plan
 '''})
     assert lint_paths([tree]) == []

@@ -1,11 +1,12 @@
-"""The structural plan cache: memoization, invalidation, engine wiring.
+"""The planning entry point: compiled templates first, the planner otherwise.
 
-The cache's contract has three parts: a structural operation's plan is a
-dict hit after the first call (and equal to a freshly planned one), the
-shadow-run protocols bypass the cache entirely (their plans are
-data-dependent), and a population change drops every entry — extent and
-domain plans embed store extents, so the engine invalidates from
-``create_instance``/``delete_instance``.
+``PlanCache`` keeps its name (the benchmark rig builds and times it) but
+memoises nothing: a ``MethodCall`` without external sends is planned by
+substituting its OID into the template its protocol compiled at
+construction — final, equal to a fresh ``protocol.plan()`` — and every
+other operation goes to ``protocol.plan()``.  Nothing is keyed per OID, so
+nothing grows with the store, and a population change invalidates only the
+engine's read-only snapshot copy, never a plan.
 """
 
 from __future__ import annotations
@@ -34,65 +35,70 @@ def _sale(store, amount=10.0):
                       arguments=(amount,))
 
 
-def test_structural_plans_are_memoized_and_equal_to_fresh_ones(setup):
+def test_method_calls_are_planned_from_templates(setup):
+    """Every call is a template hit — the first one too, whatever the
+    argument values or their types — and equals a fresh plan."""
     _, compiled, store = setup
     protocol = TAVProtocol(compiled, store)
     cache = PlanCache(protocol)
-    operation = _sale(store)
+    operations = [_sale(store, 10.0), _sale(store, 99), _sale(store, "x")]
 
-    first, hit_first = cache.plan(operation)
-    second, hit_second = cache.plan(operation)
-    assert (hit_first, hit_second) == (False, True)
-    assert second is first  # one shared frozen plan, not a copy
-    assert first == protocol.plan(operation)
-    assert cache.stats.hits == 1 and cache.stats.misses == 1
-    assert cache.stats.hit_rate == 0.5
+    planned = [cache.plan(operation) for operation in operations]
+    assert [final for _plan, final in planned] == [True, True, True]
+    for (plan, _final), operation in zip(planned, operations):
+        fresh = protocol.plan(operation)
+        assert (plan.requests, plan.control_points, plan.receivers) == \
+            (fresh.requests, fresh.control_points, fresh.receivers)
+        assert protocol.undo_projections(plan) == \
+            protocol.undo_projections(fresh)
+    assert cache.stats.hits == 3 and cache.stats.misses == 0
+    assert cache.stats.hit_rate == 1.0
 
 
 def test_same_argument_shape_shares_one_entry(setup):
-    """The key is the argument *shape* (types), not the values."""
+    """One template per (class, method): calls on different instances with
+    any arguments share its class-lock request object."""
     _, compiled, store = setup
     cache = PlanCache(TAVProtocol(compiled, store))
-    cache.plan(_sale(store, 10.0))
-    _, hit = cache.plan(_sale(store, 99.0))
-    assert hit is True
-    assert len(cache) == 1
+    first, second = store.extent("Warehouse")[:2]
+    plans = [cache.plan(MethodCall(oid=oid, method="record_sale",
+                                   arguments=(amount,)))[0]
+             for oid, amount in ((first, 1.0), (first, 2.0), (second, 3))]
+    class_locks = {id(plan.requests[0]) for plan in plans}
+    assert len(class_locks) == 1
+    assert [plan.receivers for plan in plans] == [
+        ((first, "record_sale"),), ((first, "record_sale"),),
+        ((second, "record_sale"),)]
 
 
 def test_shadow_run_protocols_bypass_the_cache(setup):
     """rw-instance plans come from a shadow execution: data-dependent, so
-    every call is classified uncacheable and delegated."""
+    it compiles no template and every call goes to its planner."""
     _, compiled, store = setup
     cache = PlanCache(RWInstanceProtocol(compiled, store))
     operation = _sale(store)
-    _, hit_first = cache.plan(operation)
-    _, hit_second = cache.plan(operation)
-    assert (hit_first, hit_second) == (False, False)
-    assert cache.stats.uncacheable == 2
-    assert cache.stats.lookups == 0 and len(cache) == 0
+    _, final_first = cache.plan(operation)
+    _, final_second = cache.plan(operation)
+    assert (final_first, final_second) == (False, False)
+    assert cache.stats.misses == 2 and cache.stats.hits == 0
+    assert cache.stats.as_dict()["plan_cache_uncacheable"] == 2
 
 
-def test_invalidate_drops_entries_and_counts(setup):
+def test_planning_keeps_no_per_oid_state(setup):
+    """No memo, no cap, no wholesale clear: planning every instance twice
+    leaves the entry point exactly as it was built."""
     _, compiled, store = setup
     cache = PlanCache(TAVProtocol(compiled, store))
-    cache.plan(_sale(store))
-    assert len(cache) == 1
-    cache.invalidate()
-    assert len(cache) == 0
-    assert cache.stats.invalidations == 1
-    _, hit = cache.plan(_sale(store))
-    assert hit is False
-
-
-def test_full_cache_clears_instead_of_growing_unbounded(setup):
-    _, compiled, store = setup
-    cache = PlanCache(TAVProtocol(compiled, store), max_entries=2)
-    warehouse, stocks = store.extent("Warehouse")[0], store.extent("Stock")
-    cache.plan(MethodCall(oid=warehouse, method="record_sale",
-                          arguments=(1.0,)))
-    cache.plan(MethodCall(oid=warehouse, method="note_order"))
-    cache.plan(MethodCall(oid=stocks[0], method="stock_level"))
-    assert len(cache) == 1  # the overflow cleared the first two
+    with pytest.raises(TypeError):
+        PlanCache(TAVProtocol(compiled, store), max_entries=2)
+    state = dict(vars(cache))
+    for _ in range(2):
+        for oid in store.extent("Stock"):
+            plan, final = cache.plan(MethodCall(oid=oid, method="stock_level"))
+            assert final and plan.receivers == ((oid, "stock_level"),)
+    assert vars(cache).keys() == state.keys()
+    assert not any(isinstance(value, dict) for value in vars(cache).values())
+    assert not hasattr(cache, "invalidate")
 
 
 def test_engine_plans_through_the_cache(setup):
@@ -103,25 +109,63 @@ def test_engine_plans_through_the_cache(setup):
             session = engine.begin()
             session.call(warehouse, "record_sale", 5.0)
             session.commit()
-        assert engine.plan_cache.stats.hits >= 4
-        assert engine.metrics.plan_cache_hit_rate >= 0.8
+        # Once per locked operation: no refresh round for a final plan.
+        assert engine.plan_cache.stats.hits == 5
+        assert engine.plan_cache.stats.misses == 0
+        assert engine.metrics.plan_cache_hits == 5
+        assert engine.metrics.plan_cache_hit_rate == 1.0
+        assert set(engine.stats()["plan_cache"]) == {
+            "plan_cache_hits", "plan_cache_misses", "plan_cache_uncacheable",
+            "plan_cache_hit_rate"}
+
+
+def test_invalidate_drops_entries_and_counts(setup):
+    """A population change drops the one cached entry left — the read-only
+    snapshot copy — and counts a structural epoch; planning is untouched."""
+    _, compiled, store = setup
+    with Engine(TAVProtocol(compiled, store)) as engine:
+        scan = ExtentCall(class_name="Stock", method="stock_level")
+        first = engine.begin(read_only=True)
+        assert len(first.perform(scan)) == 3
+        first.commit()
+        assert engine._snapshot_cache is not None
+        epoch = engine._structural_epoch
+
+        engine.delete_instance(store.extent("Stock")[0])
+        assert engine._snapshot_cache is None
+        assert engine._structural_epoch == epoch + 1
+
+        second = engine.begin(read_only=True)
+        assert len(second.perform(scan)) == len(store.extent("Stock")) == 2
+        second.commit()
+        # Snapshot reads take no locks, so nothing was planned.
+        assert (engine.metrics.plan_cache_hits,
+                engine.metrics.plan_cache_misses) == (0, 0)
 
 
 def test_create_instance_invalidates_and_extent_plans_see_newcomers(setup):
-    """An extent plan embeds the extent; a cached pre-create plan would
-    silently skip the new instance's control."""
+    """``create_instance`` invalidates the snapshot copy but no plan:
+    extent plans read the extent fresh on every call, and a new instance
+    is planned from its class's template at once."""
     _, compiled, store = setup
     with Engine(TAVProtocol(compiled, store)) as engine:
         scan = ExtentCall(class_name="Stock", method="stock_level")
         session = engine.begin()
         session.perform(scan)
         session.commit()
-        before = engine.plan_cache.stats.invalidations
+        epoch = engine._structural_epoch
 
-        engine.create_instance("Stock", item="widget", quantity=5, sold=0)
-        assert engine.plan_cache.stats.invalidations > before
+        created = engine.create_instance("Stock", item="widget", quantity=5,
+                                         sold=0)
+        assert engine._structural_epoch == epoch + 1
 
         reader = engine.begin()
         results = reader.perform(scan)
+        assert reader.perform(MethodCall(oid=created.oid,
+                                         method="stock_level")) == ["widget 5 0"]
         reader.commit()
         assert len(results) == len(store.extent("Stock")) == 4
+        # The extent scan twice from the planner (one miss each, its
+        # refresh uncounted), the new instance's call from its template.
+        assert (engine.metrics.plan_cache_hits,
+                engine.metrics.plan_cache_misses) == (1, 2)
