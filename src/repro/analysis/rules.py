@@ -70,6 +70,18 @@ def _in_package(name: str, *packages: str) -> bool:
                for package in packages)
 
 
+def _allowlisted(allowlist: frozenset[tuple[str, str]], module_name: str,
+                 qualname: str) -> bool:
+    """Whether ``(module, qualname)`` — or anything nested in it, or the whole
+    module via ``"*"`` — is on ``allowlist``."""
+    if (module_name, "*") in allowlist:
+        return True
+    return any(module_name == allowed_module
+               and (qualname == allowed_qualname
+                    or qualname.startswith(allowed_qualname + "."))
+               for allowed_module, allowed_qualname in allowlist)
+
+
 class _QualnameWalker:
     """Yields ``(qualname, node)`` for every node, tracking class/def nesting."""
 
@@ -294,8 +306,6 @@ class DataPlaneWriteRule(Rule):
     #: * ``LocalShardBackend.create_instance`` / ``.delete_instance`` — the
     #:   structural-durability path, which logs its own InstanceCreated/
     #:   InstanceDeleted WAL records around the mutation;
-    #: * ``ShardWorker._recover_own_shard`` / ``ShardWorker._apply_image``
-    #:   — per-participant crash recovery rebuilding the partition;
     #: * ``ShardWorker._apply_writes`` — the deferred-write flush: the
     #:   engine buffered these lock-covered writes client-side and ships
     #:   them piggybacked on the next ExecuteFused/Prepare; every call site
@@ -303,12 +313,12 @@ class DataPlaneWriteRule(Rule):
     #:   so the write-ahead order holds (and under ``REPRO_SANITIZE`` the
     #:   same method routes through ``WorkerStoreGuard``, which checks
     #:   exactly that);
-    #: * ``StandbyReplicator._restore_instance`` / ``_apply_record`` /
-    #:   ``reset`` — standby replay: the replica store is rebuilt from
-    #:   shipped checkpoints and WAL images whose write-ahead order the
-    #:   *primary* already enforced, and every frame is appended to the
-    #:   standby's own log before it is applied (rule L8 pins the applier
-    #:   to exactly these replay/recovery call sites);
+    #: * ``StandbyReplicator._apply_record`` / ``reset`` — standby replay:
+    #:   the replica store is rebuilt from shipped checkpoints and WAL
+    #:   images whose write-ahead order the *primary* already enforced, and
+    #:   every frame is appended to the standby's own log before it is
+    #:   applied (rule L8 pins the applier to exactly these replay call
+    #:   sites);
     #: * ``WorkerShardBackend._resync_mirror`` — worker re-admission:
     #:   overwrites the planning mirror's partition from the promoted/
     #:   recovered worker's snapshot, the same mirror-echo relationship
@@ -326,23 +336,10 @@ class DataPlaneWriteRule(Rule):
         ("repro.sharding.backends", "_WorkerStoreFront.write_field"),
         ("repro.sharding.backends", "LocalShardBackend.create_instance"),
         ("repro.sharding.backends", "LocalShardBackend.delete_instance"),
-        ("repro.sharding.worker", "ShardWorker._recover_own_shard"),
-        ("repro.sharding.worker", "ShardWorker._apply_image"),
         ("repro.sharding.worker", "ShardWorker._apply_writes"),
-        ("repro.replication.standby", "StandbyReplicator._restore_instance"),
         ("repro.replication.standby", "StandbyReplicator._apply_record"),
         ("repro.replication.standby", "StandbyReplicator.reset"),
     })
-
-    def _allowed(self, module_name: str, qualname: str) -> bool:
-        if (module_name, "*") in self.ALLOWLIST:
-            return True
-        for allowed_module, allowed_qualname in self.ALLOWLIST:
-            if module_name == allowed_module \
-                    and (qualname == allowed_qualname
-                         or qualname.startswith(allowed_qualname + ".")):
-                return True
-        return False
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not _in_package(module.name, "repro.engine", "repro.sharding",
@@ -355,7 +352,8 @@ class DataPlaneWriteRule(Rule):
                     or not isinstance(node.func, ast.Attribute):
                 continue
             reason = self._mutation_reason(node)
-            if reason is None or self._allowed(module.name, qualname):
+            if reason is None \
+                    or _allowlisted(self.ALLOWLIST, module.name, qualname):
                 continue
             yield self._finding(
                 module, node,
@@ -561,14 +559,17 @@ class RoundTripLoopRule(Rule):
 class ReplayApplierRule(Rule):
     """L8: image appliers run only from replay/recovery/promotion code.
 
-    ``ShardWorker._apply_image`` and ``StandbyReplicator._apply_record``
-    install WAL images directly into a store, with no locks, no undo
-    tracking and no write-ahead logging of their own — that is sound
-    precisely because their callers replay a log whose write-ahead order
-    was already enforced when the records were produced (crash recovery,
-    promotion, standby replay).  A call from anywhere else — a data-plane
-    handler, the shipper, an engine path — would smuggle an unlogged,
-    unlocked store write behind rule L3's allowlist.
+    :func:`~repro.wal.recovery_runner.apply_image` (and the standby's
+    ``StandbyReplicator._apply_record``, which drives it) install WAL
+    images directly into a store, with no locks, no undo tracking and no
+    write-ahead logging of their own — that is sound precisely because
+    their callers replay a log whose write-ahead order was already enforced
+    when the records were produced.  There is one such replay per shard,
+    :func:`~repro.wal.recovery_runner.replay_shard` (crash recovery,
+    worker restart, promotion), plus the standby's optimistic replay.  A
+    call from anywhere else — a data-plane handler, the shipper, an engine
+    path, a worker method replaying images on its own — would smuggle an
+    unlogged, unlocked store write past the one recovery routine.
     """
 
     code = "L8"
@@ -579,28 +580,20 @@ class ReplayApplierRule(Rule):
                   "data plane would bypass undo and the write-ahead order "
                   "while riding the recovery allowlist")
 
-    #: Attribute names of the direct image/record appliers.
-    _APPLIERS = frozenset({"_apply_image", "_apply_record"})
+    #: Names of the direct image/record appliers (called as a function or
+    #: as an attribute).
+    _APPLIERS = frozenset({"apply_image", "_apply_record"})
 
     #: ``(module, qualname)`` call sites that are replay/recovery context.
     #: The appliers' own definitions and private helpers are covered by the
     #: qualname-prefix match (a method may call itself recursively).
     ALLOWED = frozenset({
-        ("repro.sharding.worker", "ShardWorker._recover_own_shard"),
-        ("repro.sharding.worker", "ShardWorker._apply_image"),
+        ("repro.wal.recovery_runner", "replay_shard"),
         ("repro.replication.standby", "StandbyReplicator.replay_existing"),
         ("repro.replication.standby", "StandbyReplicator.apply_frames"),
         ("repro.replication.standby", "StandbyReplicator.reset"),
         ("repro.replication.standby", "StandbyReplicator._apply_record"),
     })
-
-    def _allowed(self, module_name: str, qualname: str) -> bool:
-        for allowed_module, allowed_qualname in self.ALLOWED:
-            if module_name == allowed_module \
-                    and (qualname == allowed_qualname
-                         or qualname.startswith(allowed_qualname + ".")):
-                return True
-        return False
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not _in_package(module.name, "repro"):
@@ -608,15 +601,17 @@ class ReplayApplierRule(Rule):
         tree = module.tree
         assert isinstance(tree, ast.Module)
         for qualname, node in _QualnameWalker().walk(tree):
-            if not isinstance(node, ast.Call) \
-                    or not isinstance(node.func, ast.Attribute) \
-                    or node.func.attr not in self._APPLIERS:
+            if not isinstance(node, ast.Call):
                 continue
-            if self._allowed(module.name, qualname):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if name not in self._APPLIERS \
+                    or _allowlisted(self.ALLOWED, module.name, qualname):
                 continue
             yield self._finding(
                 module, node,
-                f"{node.func.attr}() called from "
+                f"{name}() called from "
                 f"{qualname or '<module>'} — image appliers write the "
                 f"store unlocked and unlogged; only replay/recovery/"
                 f"promotion call sites may drive them")

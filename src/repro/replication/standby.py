@@ -28,10 +28,13 @@ RPCs:
   shipped one, and resumes streaming from there.
 
 Everything the replicator leaves on disk — ``shard-K.standby.ckpt`` plus
-``shard-K.standby.wal`` — is exactly the checkpoint + log shape
-:meth:`~repro.sharding.worker.ShardWorker._recover_own_shard` consumes, so
-promotion is literally the existing recovery path run against the
-coordinator's durable decision log.
+``shard-K.standby.wal`` — is exactly the checkpoint + log shape a shard
+replay consumes, so promotion is the one recovery routine of
+:mod:`repro.wal.recovery_runner` (``restore_snapshot`` + ``replay_shard``,
+the same calls the offline runner and a restarted worker make) run against
+the coordinator's durable decision log.  Replay here uses the same
+``restore_snapshot`` and ``apply_image``, but stays optimistic: redo
+installs with no outcome check, and promotion resolves.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import WALError
-from repro.objects.oid import OID
 from repro.wal.checkpoint import read_checkpoint_file, write_checkpoint_file
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
@@ -50,9 +52,9 @@ from repro.wal.records import (
     InstanceDeleted,
     RedoImage,
     WALRecord,
-    decode_value,
     record_from_payload,
 )
+from repro.wal.recovery_runner import apply_image, restore_snapshot
 
 
 class StandbyReplicator:
@@ -105,12 +107,8 @@ class StandbyReplicator:
         a standby killed mid-append resumes from the last intact frame.
         """
         with self._mutex:
-            restored = 0
-            document = read_checkpoint_file(self._ckpt_path)
-            if document is not None:
-                for class_name, number, values in document["instances"]:
-                    self._restore_instance(class_name, number, values)
-                    restored += 1
+            document = read_checkpoint_file(self._ckpt_path) or {"instances": []}
+            restored = len(restore_snapshot(self._store, document["instances"]))
             replayed = 0
             for record in self._wal.records():
                 self._apply_record(record)
@@ -165,9 +163,7 @@ class StandbyReplicator:
         (epoch, generation) position.
         """
         with self._mutex:
-            shipped: set[OID] = set()
-            for class_name, number, values in instances:
-                shipped.add(self._restore_instance(class_name, number, values))
+            shipped = set(restore_snapshot(self._store, instances))
             for instance in list(self._own_instances()):
                 if instance.oid not in shipped:
                     self._store.delete(instance.oid)
@@ -181,6 +177,9 @@ class StandbyReplicator:
             snapshot = [(instance.oid, instance.class_name,
                          dict(instance.values))
                         for instance in self._own_instances()]
+            # Written directly, not through checkpoint_shard: that one
+            # rewrites the log to its keep-set, and this keep-set leaves
+            # out txn 0 — the shipped structural records the log must keep.
             write_checkpoint_file(self._ckpt_path, self.shard_id,
                                   sorted(active - {0}), snapshot,
                                   fsync=self._fsync)
@@ -192,16 +191,6 @@ class StandbyReplicator:
 
     # -- applying -----------------------------------------------------------------
 
-    def _restore_instance(self, class_name: str, number: int,
-                          values: Mapping[str, Any]) -> OID:
-        oid = OID(class_name=class_name, number=number)
-        decoded = {name: decode_value(value) for name, value in values.items()}
-        if oid in self._store:
-            self._store.get(oid).restore(decoded)
-        else:
-            self._store.restore_instance(oid, class_name, decoded)
-        return oid
-
     def _apply_record(self, record: WALRecord) -> None:
         """Optimistic replay of one record into the replica store.
 
@@ -210,18 +199,8 @@ class StandbyReplicator:
         promotion's presumed-abort resolution can undo the losers this
         eager application may have installed.
         """
-        if isinstance(record, InstanceCreated):
-            if record.oid not in self._store:
-                self._store.restore_instance(record.oid, record.class_name,
-                                             dict(record.values))
-        elif isinstance(record, InstanceDeleted):
-            if record.oid in self._store:
-                self._store.delete(record.oid)
-        elif isinstance(record, RedoImage):
-            if record.oid in self._store:
-                instance = self._store.get(record.oid)
-                for name, value in record.values.items():
-                    instance.set(name, value)
+        if isinstance(record, (InstanceCreated, InstanceDeleted, RedoImage)):
+            apply_image(self._store, record)
 
     # -- observability ------------------------------------------------------------
 

@@ -55,7 +55,7 @@ from repro.sharding.twopc import ShardParticipant
 from repro.txn.escrow import EscrowLedger
 from repro.txn.operations import Operation
 from repro.txn.protocols.base import ConcurrencyControlProtocol, LockPlan
-from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint
+from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint, compact_decisions
 from repro.wal.durability import Durability
 from repro.wal.log import DecisionLog, WriteAheadLog
 from repro.wal.records import InstanceCreated, InstanceDeleted
@@ -658,27 +658,22 @@ class WorkerShardBackend:
 
     def checkpoint(self) -> list[ShardCheckpoint]:
         """Every worker checkpoints its own partition; the decision log is
-        then compacted with the usual snapshot-decided-first ordering (a
-        transaction deciding concurrently is not in the snapshot and
-        survives)."""
+        then compacted against the keep-sets they report, with the decided
+        set read first (a transaction deciding concurrently is not in it
+        and survives)."""
         if not self._durability.enabled:
             raise TransactionError("the engine runs with durability off; "
                                    "there is nothing to checkpoint")
-        decided: set[int] = set()
-        if self._decision_log is not None:
-            decided = {record.txn
-                       for record in self._decision_log.decisions()}
-        mentioned: set[int] = set()
-        results: list[ShardCheckpoint] = []
+        # The engine builds a decision log whenever durability is on.
+        assert self._decision_log is not None
+        decided = {record.txn for record in self._decision_log.decisions()}
+        results = []
         for client in self._clients:
-            kept = [int(txn) for txn in client.checkpoint().get("kept", ())]
-            mentioned.update(kept)
+            payload = client.checkpoint()
             results.append(ShardCheckpoint(
-                shard_id=client.shard_id, instances=-1,
-                active=tuple(sorted(kept)), records_kept=len(kept),
-                records_dropped=-1))
-        if self._decision_log is not None and decided - mentioned:
-            self._decision_log.compact(decided - mentioned)
+                **{**payload, "active": tuple(payload["active"])}))
+        compact_decisions(self._decision_log, decided,
+                          (txn for result in results for txn in result.active))
         return results
 
     def wal_bytes(self) -> int:

@@ -762,7 +762,8 @@ class RemoteShardClient(ParticipantClient):
         return dict(self._call(Hello(), count=False).payload)
 
     def checkpoint(self) -> dict[str, Any]:
-        """Checkpoint the worker's partition; returns what the pass kept."""
+        """Checkpoint the worker's partition; returns the pass's
+        :class:`~repro.wal.checkpoint.ShardCheckpoint` fields."""
         return dict(self._call(Checkpoint(), count=False).payload)
 
     def inject_fault(self, action: str) -> None:

@@ -36,15 +36,18 @@ checkpoints, reads, shipped execution) concerns instances its shard owns —
 other partitions go stale in this process and are never consulted.
 
 **Per-participant recovery**: started over a directory whose
-``shard-K.wal`` already exists, the worker first recovers *its own* shard —
-base checkpoint, structural records, then undo/redo resolved against the
-coordinator's durable decision log under presumed abort (an in-doubt
-transaction that prepared here but has no commit record is undone; one with
-a commit record is redone).  It then writes a fresh checkpoint, truncates
-its log, and serves — no single-process
-:class:`~repro.wal.recovery_runner.RecoveryRunner` over the whole directory
-required, which is what lets one crashed worker rejoin while the others
-keep their state.
+``shard-K.wal`` already exists, the worker first recovers *its own* shard
+with the same two calls the offline
+:class:`~repro.wal.recovery_runner.RecoveryRunner` makes per shard —
+``restore_snapshot`` over its base checkpoint, then ``replay_shard``
+(structural records, then undo/redo resolved against the coordinator's
+durable decision log under presumed abort: an in-doubt transaction that
+prepared here but has no commit record is undone; one with a commit record
+is redone).  A promoted standby runs the same calls over its replica files.
+The worker then writes a fresh checkpoint (``checkpoint_shard``, the one
+the in-process checkpointer uses), which empties its log, and serves — no
+whole-directory recovery required, which is what lets one crashed worker
+rejoin while the others keep their state.
 
 The worker never aborts transactions on client disconnect: transaction
 ownership lives with the coordinating engine, whose session threads may
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -92,16 +96,14 @@ from repro.sim.workload import populate_store
 from repro.txn.plan_cache import PlanCache
 from repro.txn.protocols import PROTOCOLS
 from repro.txn.recovery import RecoveryManager
-from repro.wal.checkpoint import read_checkpoint_file, write_checkpoint_file
-from repro.wal.log import DecisionLog, WriteAheadLog, read_records
-from repro.wal.records import (
-    InstanceCreated,
-    InstanceDeleted,
-    RedoImage,
-    UndoImage,
-    decode_value,
-    encode_value,
+from repro.wal.checkpoint import (
+    ShardCheckpoint,
+    checkpoint_shard,
+    encode_instances,
+    read_checkpoint_file,
 )
+from repro.wal.log import DecisionLog, WriteAheadLog, read_stamped_records
+from repro.wal.recovery_runner import ShardReplay, replay_shard, restore_snapshot
 
 #: The deterministic schemas a worker can build by name (the coordinator and
 #: every worker must name the same one — verified at ``hello`` time).
@@ -207,21 +209,13 @@ class ShardWorker:
             self._ckpt_path = root / f"{prefix}.ckpt"
             self._decisions_path = root / "decisions.log"
             restarted = self._wal_path.exists()
-            if role == "primary":
-                if restarted:
-                    self.recovery_report = self._recover_own_shard()
-                self._wal = WriteAheadLog(self._wal_path,
-                                          sync_on_barrier=self._fsync)
-                if restarted:
-                    # Everything the old log held is resolved (presumed
-                    # abort); install the recovered state as the new base.
-                    self._wal.rewrite(lambda record: False)
-                self._checkpoint()  # the base checkpoint of this partition
-            else:
+            if role == "primary" and restarted:
+                self.recovery_report = self._recover_own_shard()
+            self._wal = WriteAheadLog(self._wal_path,
+                                      sync_on_barrier=self._fsync)
+            if role == "standby":
                 # Standby: the existing log is a replay stream to resume,
                 # not a crash to resolve — resolution happens at promotion.
-                self._wal = WriteAheadLog(self._wal_path,
-                                          sync_on_barrier=self._fsync)
                 self._replicator = StandbyReplicator(
                     shard_id=shard_id, store=self._store, wal=self._wal,
                     ckpt_path=self._ckpt_path,
@@ -232,6 +226,12 @@ class ShardWorker:
 
         self._recovery = RecoveryManager(self._store, wal=self._wal,
                                          track_finished=False)
+        if role == "primary":
+            # The base checkpoint of this partition.  After a restart
+            # everything the old log held is resolved (presumed abort):
+            # nothing is pending yet, so the checkpoint installs the
+            # recovered state and then empties the log.
+            self._checkpoint()
         self._participant = ShardParticipant(shard_id, self._recovery,
                                              wal=self._wal)
 
@@ -255,7 +255,8 @@ class ShardWorker:
                 clients=[rpc.RemoteShardClient(shard_id, (str(peer), int(p)),
                                                participant_timeout=10.0)
                          for peer, p in ship_to],
-                snapshot=self._replication_snapshot)
+                # In the checkpoint document's shape, for a rebase.
+                snapshot=lambda: encode_instances(self._partition()))
             self._shipper.start()
 
         self._listener = socket.create_server((host, port))
@@ -296,85 +297,27 @@ class ShardWorker:
     def _recover_own_shard(self) -> dict[str, Any]:
         """Rebuild this shard's partition from its checkpoint + WAL.
 
-        Resolution asks the coordinator's durable decision log (a file in
-        the shared durability directory) and applies **presumed abort**: no
-        commit record ⇒ undo.  Only records of this shard's log are
-        consulted — the other shards' state belongs to their own workers.
+        The same two calls the offline
+        :class:`~repro.wal.recovery_runner.RecoveryRunner` makes per shard:
+        :func:`~repro.wal.recovery_runner.restore_snapshot`, then
+        :func:`~repro.wal.recovery_runner.replay_shard` resolved against the
+        coordinator's durable decision log (a file in the shared durability
+        directory) under **presumed abort**: no commit record ⇒ undo.  Only
+        this shard's files are read — the other shards' state belongs to
+        their own workers.
         """
         assert self._wal_path is not None
-        outcomes = DecisionLog.outcomes_at(self._decisions_path)
-        max_number = 0
-        document = read_checkpoint_file(self._ckpt_path)
-        restored = 0
-        if document is not None:
-            for class_name, number, values in document["instances"]:
-                oid = OID(class_name=class_name, number=number)
-                decoded = {name: decode_value(value)
-                           for name, value in values.items()}
-                if oid in self._store:
-                    self._store.get(oid).restore(decoded)
-                else:
-                    self._store.restore_instance(oid, class_name, decoded)
-                max_number = max(max_number, number)
-                restored += 1
-        records = list(read_records(self._wal_path))
-        for record in records:
-            if isinstance(record, InstanceCreated):
-                max_number = max(max_number, record.oid.number)
-                if record.oid not in self._store:
-                    # Values arrive decoded from record_from_payload.
-                    self._store.restore_instance(record.oid, record.class_name,
-                                                 dict(record.values))
-            elif isinstance(record, InstanceDeleted):
-                if record.oid in self._store:
-                    self._store.delete(record.oid)
-        winners: set[int] = set()
-        losers: set[int] = set()
-        in_doubt: set[int] = set()
-        prepared: set[int] = set()
-        undo_applied = redo_applied = 0
-        for record in records:
-            if isinstance(record, (InstanceCreated, InstanceDeleted)):
-                continue
-            if record.kind == "prepared":
-                prepared.add(record.txn)
-            verdict = outcomes.get(record.txn)
-            if verdict == "commit":
-                winners.add(record.txn)
-            else:
-                losers.add(record.txn)
-                if verdict is None:
-                    in_doubt.add(record.txn)
-            oid = getattr(record, "oid", None)
-            if oid is not None:
-                max_number = max(max_number, oid.number)
-        for record in reversed(records):
-            if isinstance(record, UndoImage) \
-                    and outcomes.get(record.txn) != "commit":
-                undo_applied += self._apply_image(record)
-        for record in records:
-            if isinstance(record, RedoImage) \
-                    and outcomes.get(record.txn) == "commit":
-                redo_applied += self._apply_image(record)
-        self._store.advance_oids_past(max_number)
-        return {
-            "shard": self.shard_id,
-            "restored_instances": restored,
-            "winners": sorted(winners),
-            "losers": sorted(losers),
-            "in_doubt": sorted(in_doubt),
-            "prepared_in_doubt": sorted(in_doubt & prepared),
-            "undo_applied": undo_applied,
-            "redo_applied": redo_applied,
-        }
-
-    def _apply_image(self, record: "UndoImage | RedoImage") -> int:
-        if record.oid not in self._store:
-            return 0
-        instance = self._store.get(record.oid)
-        for name, value in record.values.items():
-            instance.set(name, value)
-        return 1
+        document = read_checkpoint_file(self._ckpt_path) or {"instances": []}
+        restored = restore_snapshot(self._store, document["instances"])
+        replay = replay_shard(
+            self._store, list(read_stamped_records(self._wal_path)),
+            DecisionLog.outcomes_at(self._decisions_path),
+            int(document.get("last_lsn", 0)),
+            ShardReplay(max_number=max((oid.number for oid in restored),
+                                       default=0)))
+        self._store.advance_oids_past(replay.max_number)
+        return {"shard": self.shard_id, "restored_instances": len(restored),
+                **replay.counters()}
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -382,35 +325,20 @@ class ShardWorker:
         return [instance for instance in self._store
                 if self._router.shard_of_oid(instance.oid) == self.shard_id]
 
-    def _checkpoint(self) -> list[int]:
+    def _partition(self) -> list[tuple[OID, str, dict[str, Any]]]:
+        """This partition as ``(oid, class_name, values-copy)`` triples."""
+        return [(instance.oid, instance.class_name, dict(instance.values))
+                for instance in self._own_instances()]
+
+    def _checkpoint(self) -> ShardCheckpoint | None:
         """Snapshot this partition and truncate the WAL behind it."""
         if self._wal is None or self._ckpt_path is None:
-            return []
-        with self._wal.mutex:
-            recovery = getattr(self, "_recovery", None)
-            keep = (set(recovery.pending_transactions())
-                    if recovery is not None else set())
-            snapshot = [(instance.oid, instance.class_name,
-                         dict(instance.values))
-                        for instance in self._own_instances()]
-            write_checkpoint_file(self._ckpt_path, self.shard_id, keep,
-                                  snapshot, fsync=self._fsync)
-            self._wal.rewrite(lambda record: record.txn in keep)
-        return sorted(keep)
+            return None
+        return checkpoint_shard(self._wal, self._ckpt_path, self.shard_id,
+                                self._recovery.pending_transactions,
+                                self._partition, fsync=self._fsync)
 
     # -- replication --------------------------------------------------------------
-
-    def _replication_snapshot(self) -> list:
-        """This partition in the checkpoint document's ``instances`` shape.
-
-        Called by the shipper with the WAL mutex held, so the snapshot and
-        the log tail it is paired with cannot tear (the same ordering the
-        fuzzy checkpoint relies on).
-        """
-        return [[instance.class_name, instance.oid.number,
-                 {name: encode_value(value)
-                  for name, value in instance.values.items()}]
-                for instance in self._own_instances()]
 
     def _require_standby(self) -> StandbyReplicator:
         if self.role != "standby" or self._replicator is None:
@@ -439,12 +367,12 @@ class ShardWorker:
         """Promote this standby: presumed-abort resolution, then serve.
 
         The replayed log + checkpoint are exactly the shape
-        :meth:`_recover_own_shard` consumes, so promotion *is* the existing
-        per-participant recovery run against the coordinator's durable
-        decision log: winners redone, everything without a commit record
-        (including eagerly replayed after-images of losers) undone.  The
-        resolved state then becomes the new base — fresh checkpoint, empty
-        log — and the worker answers the data plane as a primary.
+        :meth:`_recover_own_shard` consumes, so promotion *is* the shard
+        replay every scale runs, against the coordinator's durable decision
+        log: winners redone, everything without a commit record (including
+        eagerly replayed after-images of losers) undone.  The resolved
+        state then becomes the new base — fresh checkpoint, empty log — and
+        the worker answers the data plane as a primary.
         Idempotent: a second promotion returns the first report.
         """
         if self._promotion_report is not None:
@@ -453,8 +381,9 @@ class ShardWorker:
         assert self._wal is not None
         with self._wal.mutex:
             report = self._recover_own_shard()
-            self._wal.rewrite(lambda record: False)
             self.role = "primary"
+            # Nothing is pending on a standby: the fresh base checkpoint
+            # empties the resolved log once the snapshot is installed.
             self._checkpoint()
         self._promotion_report = {"promotion": report,
                                   "shard": self.shard_id}
@@ -812,7 +741,9 @@ class ShardWorker:
         return rpc.Info(payload={"instances": instances})
 
     def _checkpoint_request(self, request: rpc.Checkpoint) -> rpc.Info:
-        return rpc.Info(payload={"kept": self._checkpoint()})
+        checkpoint = self._checkpoint()
+        return rpc.Info(payload={} if checkpoint is None
+                        else dataclasses.asdict(checkpoint))
 
     def _metrics_request(self, request: rpc.Metrics) -> rpc.Info:
         return rpc.Info(payload={

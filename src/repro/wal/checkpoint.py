@@ -31,7 +31,14 @@ rewrites have run, any decided transaction that no shard WAL still mentions
 is invisible to recovery (its effects are entirely inside the snapshots), so
 its decision record is dead weight and is dropped.  The ordering that makes
 this safe against concurrent commits is documented at
-:meth:`_compact_decisions`.
+:func:`compact_decisions`.
+
+Both halves are written once, as module functions: :func:`checkpoint_shard`
+is the one shard checkpoint (the in-process :class:`CheckpointManager` runs
+it per shard, a :class:`~repro.sharding.worker.ShardWorker` over its own
+partition) and :func:`compact_decisions` the one compaction (the
+in-process manager feeds it a scan of its WALs, the worker backend the
+keep-sets its workers' checkpoints report).
 
 :class:`CheckpointManager` also owns the optional background cadence: a
 daemon thread calling :meth:`checkpoint` every ``interval`` seconds, started
@@ -45,7 +52,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.objects.oid import OID
 from repro.wal.durability import Durability
@@ -84,11 +91,7 @@ def write_checkpoint_file(path, shard_id: int, active: Sequence[int],
         "active": sorted(active),
         "last_lsn": last_lsn,
         "max_oid": max((oid.number for oid, _, _ in snapshot), default=0),
-        "instances": [
-            [class_name, oid.number,
-             {name: encode_value(value) for name, value in values.items()}]
-            for oid, class_name, values in snapshot
-        ],
+        "instances": encode_instances(snapshot),
     }
     replacement = path.with_suffix(path.suffix + ".tmp")
     with open(replacement, "w", encoding="utf-8") as handle:
@@ -100,6 +103,73 @@ def write_checkpoint_file(path, shard_id: int, active: Sequence[int],
     os.replace(replacement, path)
     if fsync:
         fsync_directory(path.parent)
+
+
+def encode_instances(snapshot: Iterable[tuple[OID, str, Mapping[str, Any]]]) -> list:
+    """``(oid, class_name, values)`` triples in the checkpoint document's
+    ``instances`` shape — what :func:`write_checkpoint_file` persists, what
+    a replication rebase ships and what
+    :func:`~repro.wal.recovery_runner.restore_snapshot` reads back."""
+    return [[class_name, oid.number,
+             {name: encode_value(value) for name, value in values.items()}]
+            for oid, class_name, values in snapshot]
+
+
+def checkpoint_shard(wal: WriteAheadLog, path, shard_id: int,
+                     pending: Callable[[], Iterable[int]],
+                     snapshot: Callable[[], Sequence[tuple[OID, str, dict[str, Any]]]],
+                     *, fsync: bool) -> ShardCheckpoint:
+    """Checkpoint one shard: install its snapshot, then shrink its log.
+
+    Runs under the WAL's append mutex.  Appends — and the in-memory log
+    growth paired with them — are blocked, so the keep-read (``pending``)
+    and the ``snapshot`` see one consistent world: every transaction whose
+    dirty values the snapshot may contain is pending here.  The snapshot
+    file carries the WAL's ``last_lsn`` as its boundary and is installed
+    before the log is rewritten to the keep-set (the install order the
+    module docstring argues for).
+    """
+    with wal.mutex:
+        keep = set(pending())
+        instances = snapshot()
+        write_checkpoint_file(path, shard_id, keep, instances, fsync=fsync,
+                              last_lsn=wal.last_lsn)
+        kept, dropped = wal.rewrite(lambda record: record.txn in keep)
+    return ShardCheckpoint(shard_id=shard_id, instances=len(instances),
+                           active=tuple(sorted(keep)),
+                           records_kept=kept, records_dropped=dropped)
+
+
+def compact_decisions(decision_log: DecisionLog, decided: Iterable[int],
+                      mentioned: Iterable[int]) -> int:
+    """Drop decisions no shard log still mentions; returns how many went.
+
+    The safety argument is pure ordering.  ``decided`` must be read from
+    the decision log *before* the shard logs are scanned for
+    ``mentioned``; only ``decided - mentioned`` is dropped.  A
+    transaction's WAL records (undo images, redo images, PREPARED) are all
+    appended *before* its decision exists, so:
+
+    * a transaction deciding after ``decided`` was read is not in it — its
+      commit record survives no matter what the scan sees;
+    * a transaction in ``decided`` whose records are absent from every
+      shard log at the scan can never gain records again (it stopped
+      writing when it decided, and the scan ran *after* the decision), so
+      its effects are fully inside the checkpoint snapshots — both the redo
+      a commit would need and the undo a presumed abort would need are
+      moot, and the decision is dead weight.
+
+    ``mentioned`` may over-approximate (a shard's keep-set names pending
+    transactions that have no records yet); that only drops less.  It is
+    not consumed when nothing is decided.
+    """
+    droppable = set(decided)
+    if droppable:
+        droppable.difference_update(mentioned)
+    if not droppable:
+        return 0
+    _kept, dropped = decision_log.compact(droppable)
+    return dropped
 
 
 def read_checkpoint_file(path) -> dict[str, Any] | None:
@@ -157,61 +227,29 @@ class CheckpointManager:
         with self._checkpoint_mutex:
             results = [self._checkpoint_shard(shard_id)
                        for shard_id in range(len(self._wals))]
-            self._compact_decisions()
+            if self._decision_log is not None:
+                # Decided first, then the scan, as compact_decisions needs.
+                decided = {record.txn for record in self._decision_log.decisions()}
+                self.decisions_dropped += compact_decisions(
+                    self._decision_log, decided,
+                    (record.txn for wal in self._wals for record in wal.records()))
             self.checkpoints_taken += 1
             return results
 
     def _checkpoint_shard(self, shard_id: int) -> ShardCheckpoint:
-        wal = self._wals[shard_id]
         manager = self._recovery.shard_manager(shard_id)
-        with wal.mutex:
-            # Appends — and the in-memory log growth paired with them — are
-            # blocked, so keep-read and snapshot see one consistent world:
-            # every transaction whose dirty values the snapshot may contain
-            # is pending here.
+
+        def pending() -> set[int]:
             keep = set(manager.pending_transactions())
             if self._extra_pending is not None:
                 keep.update(self._extra_pending(shard_id))
-            snapshot = self._snapshot_shard(shard_id)
-            write_checkpoint_file(self._durability.checkpoint_path(shard_id),
-                                  shard_id, keep, snapshot,
-                                  fsync=self._durability.fsync,
-                                  last_lsn=wal.last_lsn)
-            kept, dropped = wal.rewrite(lambda record: record.txn in keep)
-            return ShardCheckpoint(shard_id=shard_id, instances=len(snapshot),
-                                   active=tuple(sorted(keep)),
-                                   records_kept=kept, records_dropped=dropped)
+            return keep
 
-    def _compact_decisions(self) -> None:
-        """Drop decisions no shard WAL still mentions (bounds the log).
-
-        The safety argument is pure ordering.  Step 1 snapshots the set of
-        *decided* transactions; step 2 scans every shard WAL for the
-        transactions still mentioned; only ``decided - mentioned`` is
-        dropped.  A transaction's WAL records (undo images, redo images,
-        PREPARED) are all appended *before* its decision exists, so:
-
-        * a transaction deciding after step 1 is not in ``decided`` — its
-          commit record survives no matter what the scan sees;
-        * a transaction in ``decided`` whose records are absent from every
-          WAL at step 2 can never gain records again (it stopped writing
-          when it decided, and the scan ran *after* the decision), so its
-          effects are fully inside the checkpoint snapshots — both the redo
-          a commit would need and the undo a presumed abort would need are
-          moot, and the decision is dead weight.
-        """
-        if self._decision_log is None:
-            return
-        decided = {record.txn for record in self._decision_log.decisions()}
-        if not decided:
-            return
-        mentioned: set[int] = set()
-        for wal in self._wals:
-            mentioned.update(record.txn for record in wal.records())
-        droppable = decided - mentioned
-        if droppable:
-            _kept, dropped = self._decision_log.compact(droppable)
-            self.decisions_dropped += dropped
+        return checkpoint_shard(self._wals[shard_id],
+                                self._durability.checkpoint_path(shard_id),
+                                shard_id, pending,
+                                lambda: self._snapshot_shard(shard_id),
+                                fsync=self._durability.fsync)
 
     def _snapshot_shard(self, shard_id: int) -> list[tuple[OID, str, dict[str, Any]]]:
         """This shard's instances, via the store's native snapshot support.

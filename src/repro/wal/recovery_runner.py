@@ -10,16 +10,27 @@ thing — the transaction never happened.  (That is why prepare writes its
 marker before voting but commit is the only decision that must be durable
 before anyone proceeds.)
 
+The per-shard algorithm is written once: :func:`restore_snapshot` loads a
+checkpoint, :func:`replay_shard` resolves one shard's log, and
+:func:`apply_image` is the one image applier.  The runner calls them for
+every shard of a directory, a restarted shard worker and a promoted
+standby for their own shard; a standby's optimistic replay uses
+:func:`apply_image` alone.
+
 Replay order per shard, after the snapshot is loaded:
 
+0. **structural records, in log order** — creations the snapshot never
+   saw, then deletions, so every field image below finds its instance;
 1. **undo losers, newest first** — every before-image of every transaction
    without a commit record is restored in reverse log order.  Strict 2PL
    makes this converge on committed values: a loser's before-image is
    always the committed value at the time it took the write lock, and an
    in-doubt loser (crashed holding its locks) is necessarily the last
-   writer of its fields;
+   writer of its fields.  Losers' escrow deltas still inside the base are
+   then inverse-applied;
 2. **redo winners, oldest first** — every after-image of every committed
-   transaction is re-applied in log order.  Redo images are appended at
+   transaction is re-applied in log order, interleaved with the winners'
+   escrow deltas the base is missing.  Redo images are appended at
    prepare time, so for any one field their log order is the commit order,
    and replay ends on the last committed value whether or not the fuzzy
    snapshot had already caught it (re-applying is idempotent).
@@ -31,8 +42,8 @@ be resumed into a *fresh* durability directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import WALError
 from repro.objects.oid import OID
@@ -117,6 +128,208 @@ class RecoveryResult:
     checkpoint_lsns: dict[int, int] = field(default_factory=dict)
 
 
+@dataclass
+class ShardReplay:
+    """What :func:`replay_shard` found and did, named as in :class:`RecoveryReport`."""
+
+    winners: set[int] = field(default_factory=set)
+    losers: set[int] = field(default_factory=set)
+    in_doubt: set[int] = field(default_factory=set)
+    prepared_in_doubt: set[int] = field(default_factory=set)
+    undo_applied: int = 0
+    redo_applied: int = 0
+    created_replayed: int = 0
+    deleted_replayed: int = 0
+    escrow_redone: int = 0
+    escrow_undone: int = 0
+    #: The highest OID number the log mentions; the caller advances the
+    #: store's OID generator past it (and past the restored snapshot).
+    max_number: int = 0
+
+    def counters(self) -> dict[str, Any]:
+        """The :class:`RecoveryReport` fields a replay determines."""
+        document = asdict(self)
+        del document["max_number"]
+        return {name: tuple(sorted(value)) if isinstance(value, set) else value
+                for name, value in document.items()}
+
+
+def restore_snapshot(store: Any, instances: Iterable[Sequence[Any]]) -> list[OID]:
+    """Install checkpoint-document instances into ``store``; returns their OIDs.
+
+    ``instances`` holds ``[class_name, number, encoded values]`` entries, the
+    shape :func:`~repro.wal.checkpoint.write_checkpoint_file` writes.
+    Ascending OID order reproduces creation order, which keeps a fresh
+    store's merged views identical to a clean store's.  An instance the
+    store already holds (a worker's deterministic population) is restored
+    in place; any other is re-created under its original OID.
+    """
+    restored: list[OID] = []
+    for class_name, number, values in sorted(instances, key=lambda item: item[1]):
+        oid = OID(class_name=class_name, number=number)
+        decoded = {name: decode_value(value) for name, value in values.items()}
+        if oid in store:
+            store.get(oid).restore(decoded)
+        else:
+            store.restore_instance(oid, class_name, decoded)
+        restored.append(oid)
+    return restored
+
+
+def replay_shard(store: Any, stamped: Sequence[tuple[int, WALRecord]],
+                 outcomes: Mapping[int, str], ckpt_lsn: int,
+                 replay: ShardReplay | None = None) -> ShardReplay:
+    """Resolve one shard's ``(lsn, record)`` log into ``store`` under presumed abort.
+
+    ``store`` already holds the shard's restored snapshot, whose boundary
+    stamp is ``ckpt_lsn``; ``outcomes`` maps transactions to the verdicts
+    of the durable decision log.  A transaction is a winner only with a
+    ``commit`` verdict — an ``abort`` and no verdict at all both make it a
+    loser.  The passes run in the order the module docstring gives.  What
+    the replay finds is added to ``replay`` (a fresh one by default), so
+    one summary can span several shards; it is returned.
+    """
+    if replay is None:
+        replay = ShardReplay()
+    records = [record for _, record in stamped]
+    # Structural records first, in log order: a creation the base
+    # checkpoint never saw must exist before any field image of it can be
+    # undone or redone; a deletion wins over both (the field images of a
+    # deleted instance are skipped like always).
+    for record in records:
+        if isinstance(record, InstanceCreated):
+            replay.max_number = max(replay.max_number, record.oid.number)
+            replay.created_replayed += apply_image(store, record)
+        elif isinstance(record, InstanceDeleted):
+            replay.deleted_replayed += apply_image(store, record)
+    for record in records:
+        if isinstance(record, (InstanceCreated, InstanceDeleted)):
+            continue
+        verdict = outcomes.get(record.txn)
+        if verdict == "commit":
+            replay.winners.add(record.txn)
+        else:
+            replay.losers.add(record.txn)
+            if verdict is None:
+                replay.in_doubt.add(record.txn)
+                if record.kind == "prepared":
+                    replay.prepared_in_doubt.add(record.txn)
+        oid = getattr(record, "oid", None)
+        if oid is not None:
+            replay.max_number = max(replay.max_number, oid.number)
+    # The oldest surviving loser before-image per (oid, field):
+    # reverse-order restoration ends on it, so once restored it — not the
+    # checkpoint snapshot — is the base state an escrow delta on that field
+    # must be judged against.
+    loser_images: dict[tuple[OID, str], tuple[int, int]] = {}
+    for lsn, record in stamped:
+        if isinstance(record, UndoImage) \
+                and outcomes.get(record.txn) != "commit":
+            for name in record.values:
+                loser_images.setdefault((record.oid, name), (lsn, record.txn))
+    for record in reversed(records):
+        if isinstance(record, UndoImage) \
+                and outcomes.get(record.txn) != "commit":
+            replay.undo_applied += apply_image(store, record)
+    # Losers' deltas still present in the base are inverse-applied (a
+    # runtime abort logged its reversals as opposite-sign deltas, so
+    # original and inverse cancel pairwise here).
+    for lsn, record in stamped:
+        if isinstance(record, EscrowDelta) \
+                and outcomes.get(record.txn) != "commit" \
+                and _delta_survives_in_base(lsn, record, loser_images, ckpt_lsn):
+            replay.escrow_undone += _apply_delta(store, record, invert=True)
+    # Winners replay forward in log order: redo images are absolute
+    # (captured at prepare, after the winner's own deltas), so interleaving
+    # them with the deltas the base is missing lands on the committed value.
+    for lsn, record in stamped:
+        if outcomes.get(record.txn) != "commit":
+            continue
+        if isinstance(record, RedoImage):
+            replay.redo_applied += apply_image(store, record)
+        elif isinstance(record, EscrowDelta) and \
+                _delta_missing_from_base(lsn, record, loser_images, ckpt_lsn):
+            replay.escrow_redone += _apply_delta(store, record)
+    return replay
+
+
+def apply_image(store: Any, record: "InstanceCreated | InstanceDeleted "
+                                    "| UndoImage | RedoImage") -> int:
+    """Install one WAL image into ``store``: 1 if it changed it, else 0.
+
+    The one image applier, for crash recovery, promotion and standby replay
+    alike.  It writes with no locks, no undo tracking and no logging of its
+    own, which is sound only because its callers replay a log whose
+    write-ahead order was enforced when the records were produced (lint
+    rule L8 pins its call sites).  A creation the store already holds, a
+    deletion of an instance it lacks and a field image of an instance lost
+    to the crash are skipped (creations become durable only through
+    checkpoints and structural records).
+    """
+    if isinstance(record, InstanceCreated):
+        if record.oid in store:
+            return 0
+        # record_from_payload already decoded the values (OID tags
+        # restored) — no second pass needed.
+        store.restore_instance(record.oid, record.class_name, dict(record.values))
+        return 1
+    if record.oid not in store:
+        return 0
+    if isinstance(record, InstanceDeleted):
+        store.delete(record.oid)
+        return 1
+    instance = store.get(record.oid)
+    for name, value in record.values.items():
+        instance.set(name, value)
+    return 1
+
+
+def _delta_survives_in_base(lsn: int, record: EscrowDelta,
+                            loser_images: dict[tuple[OID, str], tuple[int, int]],
+                            ckpt_lsn: int) -> bool:
+    """Whether a loser's delta is present in the replayed base state.
+
+    With no loser image on the field, the base is the checkpoint snapshot:
+    the delta is inside it exactly when its stamp is at or below the
+    snapshot boundary.  With a restored image, the base is that image,
+    which embeds only the *owner's own* deltas applied before the capture —
+    any other loser's earlier delta was already reverted (lock conflict
+    forces it: the escrow holder must have finished before the ordinary
+    lock was granted) and its original and inverse records cancel under
+    this same rule.
+    """
+    image = loser_images.get((record.oid, record.field))
+    if image is not None:
+        image_lsn, owner = image
+        return owner == record.txn and lsn < image_lsn
+    return 0 < lsn <= ckpt_lsn
+
+
+def _delta_missing_from_base(lsn: int, record: EscrowDelta,
+                             loser_images: dict[tuple[OID, str], tuple[int, int]],
+                             ckpt_lsn: int) -> bool:
+    """Whether a winner's delta is absent from the replayed base state.
+
+    The base boundary for the field is the restored loser image's stamp
+    when one exists (record order is apply order, so any delta stamped
+    before the capture is embedded in the image), the checkpoint boundary
+    otherwise.
+    """
+    image = loser_images.get((record.oid, record.field))
+    boundary = image[0] if image is not None else ckpt_lsn
+    return lsn > boundary
+
+
+def _apply_delta(store: Any, record: EscrowDelta, *, invert: bool = False) -> int:
+    """Merge one delta (or its inverse) into the recovering store."""
+    if record.oid not in store:
+        return 0
+    instance = store.get(record.oid)
+    delta = -record.delta if invert else record.delta
+    instance.set(record.field, store.read_field(record.oid, record.field) + delta)
+    return 1
+
+
 class RecoveryRunner:
     """Rebuilds committed state from a crashed engine's durability directory."""
 
@@ -152,138 +365,43 @@ class RecoveryRunner:
     # -- the pass ----------------------------------------------------------------
 
     def recover(self, store: Any | None = None) -> RecoveryResult:
-        """Rebuild a store: checkpoints, then undo losers, then redo winners.
+        """Rebuild a store: checkpoints, then each shard's log replayed.
 
         ``store`` optionally supplies the empty store to restore into; by
         default a :class:`~repro.sharding.store.ShardedObjectStore` over the
         runner's router (or a plain :class:`ObjectStore` for one shard).
+        Every shard's snapshot is restored before any log is replayed, so
+        the restore sees all instances in one ascending-OID pass.
         """
         if store is None:
             store = self._fresh_store()
         outcomes = DecisionLog.outcomes_at(self._durability.decisions_path)
-
-        max_number = 0
-        snapshot: list[tuple[str, int, dict[str, Any]]] = []
+        snapshot: list[Any] = []
         ckpt_lsns: dict[int, int] = {}
         for shard_id in range(self._num_shards):
             document = read_checkpoint_file(
                 self._durability.checkpoint_path(shard_id))
             if document is not None:
                 ckpt_lsns[shard_id] = int(document.get("last_lsn", 0))
-                snapshot.extend((class_name, number, values)
-                                for class_name, number, values
-                                in document["instances"])
-        # Ascending OID order reproduces creation order, which keeps the
-        # recovered store's merged views identical to a clean store's.
-        snapshot.sort(key=lambda item: item[1])
-        for class_name, number, values in snapshot:
-            oid = OID(class_name=class_name, number=number)
-            store.restore_instance(oid, class_name,
-                                   {name: decode_value(value)
-                                    for name, value in values.items()})
-            max_number = max(max_number, number)
+                snapshot.extend(document["instances"])
+        restored = restore_snapshot(store, snapshot)
 
-        winners: set[int] = set()
-        losers: set[int] = set()
-        in_doubt: set[int] = set()
-        prepared: set[int] = set()
-        undo_applied = redo_applied = 0
-        created_replayed = deleted_replayed = 0
-        escrow_redone = escrow_undone = 0
+        replay = ShardReplay(
+            max_number=max((oid.number for oid in restored), default=0))
         shard_records: dict[int, list[WALRecord]] = {}
         stamped_records: dict[int, list[tuple[int, WALRecord]]] = {}
         for shard_id in range(self._num_shards):
             stamped = list(read_stamped_records(self._durability.wal_path(shard_id)))
             stamped_records[shard_id] = stamped
-            records = [record for _, record in stamped]
-            shard_records[shard_id] = records
-            ckpt_lsn = ckpt_lsns.get(shard_id, 0)
-            # Structural records first, in log order: a creation the base
-            # checkpoint never saw must exist before any field image of it
-            # can be undone or redone; a deletion wins over both (the field
-            # images of a deleted instance are skipped like always).
-            for record in records:
-                if isinstance(record, InstanceCreated):
-                    max_number = max(max_number, record.oid.number)
-                    if record.oid not in store:
-                        # record_from_payload already decoded the values
-                        # (OID tags restored) — no second pass needed.
-                        store.restore_instance(record.oid, record.class_name,
-                                               dict(record.values))
-                        created_replayed += 1
-                elif isinstance(record, InstanceDeleted):
-                    if record.oid in store:
-                        store.delete(record.oid)
-                        deleted_replayed += 1
-            for record in records:
-                if isinstance(record, (InstanceCreated, InstanceDeleted)):
-                    continue
-                if record.kind == "prepared":
-                    prepared.add(record.txn)
-                verdict = outcomes.get(record.txn)
-                if verdict == "commit":
-                    winners.add(record.txn)
-                else:
-                    losers.add(record.txn)
-                    if verdict is None:
-                        in_doubt.add(record.txn)
-                oid = getattr(record, "oid", None)
-                if oid is not None:
-                    max_number = max(max_number, oid.number)
-            # The oldest surviving loser before-image per (oid, field):
-            # reverse-order restoration ends on it, so once restored it —
-            # not the checkpoint snapshot — is the base state an escrow
-            # delta on that field must be judged against.
-            loser_images: dict[tuple[OID, str], tuple[int, int]] = {}
-            for lsn, record in stamped:
-                if isinstance(record, UndoImage) \
-                        and outcomes.get(record.txn) != "commit":
-                    for name in record.values:
-                        loser_images.setdefault((record.oid, name),
-                                                (lsn, record.txn))
-            for record in reversed(records):
-                if isinstance(record, UndoImage) \
-                        and outcomes.get(record.txn) != "commit":
-                    undo_applied += self._apply(store, record)
-            # Losers' deltas still present in the base are inverse-applied
-            # (a runtime abort logged its reversals as opposite-sign deltas,
-            # so original and inverse cancel pairwise here).
-            for lsn, record in stamped:
-                if isinstance(record, EscrowDelta) \
-                        and outcomes.get(record.txn) != "commit" \
-                        and self._delta_survives_in_base(lsn, record,
-                                                         loser_images, ckpt_lsn):
-                    escrow_undone += self._apply_delta(store, record,
-                                                       invert=True)
-            # Winners replay forward in log order: redo images are absolute
-            # (captured at prepare, after the winner's own deltas), so
-            # interleaving them with the deltas the base is missing lands on
-            # the committed value.
-            for lsn, record in stamped:
-                if outcomes.get(record.txn) != "commit":
-                    continue
-                if isinstance(record, RedoImage):
-                    redo_applied += self._apply(store, record)
-                elif isinstance(record, EscrowDelta) and \
-                        self._delta_missing_from_base(lsn, record,
-                                                      loser_images, ckpt_lsn):
-                    escrow_redone += self._apply_delta(store, record)
-
-        store.advance_oids_past(max_number)
+            shard_records[shard_id] = [record for _, record in stamped]
+            replay_shard(store, stamped, outcomes, ckpt_lsns.get(shard_id, 0),
+                         replay)
+        store.advance_oids_past(replay.max_number)
         report = RecoveryReport(
             shards=self._num_shards,
             durability_mode=self._durability.mode,
-            restored_instances=len(snapshot),
-            winners=tuple(sorted(winners)),
-            losers=tuple(sorted(losers)),
-            in_doubt=tuple(sorted(in_doubt)),
-            prepared_in_doubt=tuple(sorted(in_doubt & prepared)),
-            undo_applied=undo_applied,
-            redo_applied=redo_applied,
-            created_replayed=created_replayed,
-            deleted_replayed=deleted_replayed,
-            escrow_redone=escrow_redone,
-            escrow_undone=escrow_undone)
+            restored_instances=len(restored),
+            **replay.counters())
         return RecoveryResult(store=store, report=report,
                               shard_records=shard_records,
                               stamped_records=stamped_records,
@@ -345,61 +463,3 @@ class RecoveryRunner:
         from repro.sharding.store import ShardedObjectStore
 
         return ShardedObjectStore(self._schema, self._router)
-
-    @staticmethod
-    def _apply(store: Any, record: UndoImage | RedoImage) -> int:
-        """Write one image's values back; instances lost to the crash are
-        skipped (creations are made durable by checkpoints only)."""
-        if record.oid not in store:
-            return 0
-        instance = store.get(record.oid)
-        for name, value in record.values.items():
-            instance.set(name, value)
-        return 1
-
-    @staticmethod
-    def _delta_survives_in_base(lsn: int, record: EscrowDelta,
-                                loser_images: dict[tuple[OID, str], tuple[int, int]],
-                                ckpt_lsn: int) -> bool:
-        """Whether a loser's delta is present in the replayed base state.
-
-        With no loser image on the field, the base is the checkpoint
-        snapshot: the delta is inside it exactly when its stamp is at or
-        below the snapshot boundary.  With a restored image, the base is
-        that image, which embeds only the *owner's own* deltas applied
-        before the capture — any other loser's earlier delta was already
-        reverted (lock conflict forces it: the escrow holder must have
-        finished before the ordinary lock was granted) and its original and
-        inverse records cancel under this same rule.
-        """
-        image = loser_images.get((record.oid, record.field))
-        if image is not None:
-            image_lsn, owner = image
-            return owner == record.txn and lsn < image_lsn
-        return 0 < lsn <= ckpt_lsn
-
-    @staticmethod
-    def _delta_missing_from_base(lsn: int, record: EscrowDelta,
-                                 loser_images: dict[tuple[OID, str], tuple[int, int]],
-                                 ckpt_lsn: int) -> bool:
-        """Whether a winner's delta is absent from the replayed base state.
-
-        The base boundary for the field is the restored loser image's stamp
-        when one exists (record order is apply order, so any delta stamped
-        before the capture is embedded in the image), the checkpoint
-        boundary otherwise.
-        """
-        image = loser_images.get((record.oid, record.field))
-        boundary = image[0] if image is not None else ckpt_lsn
-        return lsn > boundary
-
-    @staticmethod
-    def _apply_delta(store: Any, record: EscrowDelta, *,
-                     invert: bool = False) -> int:
-        """Merge one delta (or its inverse) into the recovering store."""
-        if record.oid not in store:
-            return 0
-        instance = store.get(record.oid)
-        delta = -record.delta if invert else record.delta
-        instance.set(record.field, store.read_field(record.oid, record.field) + delta)
-        return 1

@@ -323,10 +323,12 @@ def fast_path(replicator, record):
 
 def test_l8_fires_on_image_apply_from_the_data_plane(tmp_path):
     tree = write_tree(tmp_path, {"repro/sharding/worker.py": '''
+from repro.wal.recovery_runner import apply_image
+
 class ShardWorker:
     def _commit(self, request):
         for image in request["images"]:
-            self._apply_image(image)
+            apply_image(self._store, image)
 '''})
     assert codes_of(lint_paths([tree])) == ["L8"]
 
@@ -345,14 +347,38 @@ class StandbyReplicator:
     assert lint_paths([tree]) == []
 
 
-def test_l8_allows_recovery_in_the_shard_worker(tmp_path):
+def test_l8_fires_on_image_apply_in_shard_worker_recovery(tmp_path):
+    # A worker recovers through replay_shard; replaying images itself, even
+    # from its recovery method, is a second recovery path.
     tree = write_tree(tmp_path, {"repro/sharding/worker.py": '''
+from repro.wal import recovery_runner
+
 class ShardWorker:
     def _recover_own_shard(self):
         for image in self._wal.read_records():
-            self._apply_image(image)
+            recovery_runner.apply_image(self._store, image)
 '''})
-    assert lint_paths([tree]) == []
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L8"]
+    assert "ShardWorker._recover_own_shard" in findings[0].message
+
+
+def test_l8_allows_apply_image_only_inside_replay_shard(tmp_path):
+    tree = write_tree(tmp_path, {"repro/wal/recovery_runner.py": '''
+def replay_shard(store, stamped, outcomes, ckpt_lsn):
+    for _lsn, record in stamped:
+        apply_image(store, record)
+
+def restore_snapshot(store, instances):
+    for record in instances:
+        apply_image(store, record)
+
+def apply_image(store, record):
+    return 1
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L8"]
+    assert "restore_snapshot" in findings[0].message
 
 
 def test_l3_fires_on_direct_store_write_in_replication_code(tmp_path):
