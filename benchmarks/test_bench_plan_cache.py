@@ -1,4 +1,4 @@
-"""What the compiled analysis pays back at runtime, in four rows.
+"""What the compiled analysis pays back at runtime, in three rows.
 
 PR 10 moved the paper's compile-time artefacts onto the execution hot
 path; this bench measures each payoff in isolation and records them to
@@ -8,26 +8,23 @@ path; this bench measures each payoff in isolation and records them to
    :class:`~repro.txn.plan_cache.PlanCache` (its OID substituted into the
    template the protocol compiled at construction) versus re-running the
    TAV planner, with the ≥95% template-served floor asserted on a real
-   workload run (one count per locked operation).
+   contended order-entry run (one hot ``Warehouse``, four ``Stock`` items,
+   8 threads; one count per locked operation).
 2. **Bitmap admission** — the lock manager's per-resource conflict
    bitmaps (``granted_mask & conflict[mode]``) are asked and answer
    without a holder scan (the scan they replaced measured 1.71x slower in
    the last A/B, PR 13, and is gone).
-3. **Escrow vs exclusive** — a contended order-entry workload (one hot
-   ``Warehouse``, four ``Stock`` items, 8 threads) with commutative
-   counter updates admitted in escrow mode versus classical exclusive
-   locking.  The ≥1.3x commits/sec floor is the PR's headline claim.
-4. **Snapshot vs locked reads** — an all-read-only workload served from
+3. **Snapshot vs locked reads** — an all-read-only workload served from
    the lock-free snapshot path versus the same operations through the
    locked path, plus the zero-lock-acquisition assertion on a direct
    engine.
 
 Reading the numbers: row 1 is a microbenchmark time ratio (template
-substitution over planner run), row 2 is counters, rows 3–4 are harness commits/sec under
-identical workloads.  The ratios are recorded always and enforced under
-``REPRO_BENCH_FLOORS=1`` (see ``conftest.wall_clock_floor``).  Every concurrent run is still
-verified serializable, and the order-entry runs additionally check the
-``quantity + sold`` conservation invariant.
+substitution over planner run), row 2 is counters, row 3 is harness
+commits/sec under identical workloads.  The ratios are recorded always and
+enforced under ``REPRO_BENCH_FLOORS=1`` (see ``conftest.wall_clock_floor``).
+Every concurrent run is still verified serializable, and the contended run
+additionally checks the ``quantity + sold`` conservation invariant.
 """
 
 import pathlib
@@ -52,7 +49,7 @@ from .conftest import emit, wall_clock_floor
 THREADS = 8
 TRANSACTIONS = 240
 #: One hot warehouse: every sale updates its counters — the contended
-#: hot-counter workload the escrow floor is claimed on.
+#: hot-counter workload the template hit rate is asserted on.
 POPULATION = {"Warehouse": 1, "Stock": 4}
 PLAN_ROUNDS = 3000
 LOCK_ROUNDS = 3000
@@ -95,7 +92,7 @@ def _exercise_admission() -> LockManager:
     store = populate_store(schema, POPULATION, seed=11)
     protocol = TAVProtocol(compiled, store)
     resource = ("instance", OID("Warehouse", 1))
-    manager = LockManager(protocol._escrow_aware_compatible)
+    manager = protocol.create_lock_manager()
     # Several readers already hold the resource, so every admission has a
     # non-empty granted mask to test.
     for holder in range(2, 6):
@@ -107,29 +104,9 @@ def _exercise_admission() -> LockManager:
 
 
 def run_plan_cache_grid():
-    harness = _order_entry_harness()
-
-    def contended_pair():
-        exclusive = harness.run(TAVProtocol, threads=THREADS,
-                                transactions=TRANSACTIONS,
-                                default_lock_timeout=10.0,
-                                invariant=conservation_violations)
-        escrowed = harness.run(TAVProtocol, threads=THREADS,
-                               transactions=TRANSACTIONS,
-                               default_lock_timeout=10.0, escrow=True,
-                               invariant=conservation_violations)
-        return exclusive, escrowed
-
-    exclusive, escrowed = contended_pair()
-    # Interpreter warm-up and scheduler noise can depress the first pair's
-    # ratio well below its steady state (~1.6x); one re-measure keeps the
-    # 1.3x floor assertion about the code, not about a cold start.
-    if escrowed.commits_per_second < 1.4 * exclusive.commits_per_second:
-        retried_exclusive, retried_escrowed = contended_pair()
-        if (retried_escrowed.commits_per_second * exclusive.commits_per_second
-                > escrowed.commits_per_second
-                * retried_exclusive.commits_per_second):
-            exclusive, escrowed = retried_exclusive, retried_escrowed
+    exclusive = _order_entry_harness().run(
+        TAVProtocol, threads=THREADS, transactions=TRANSACTIONS,
+        default_lock_timeout=10.0, invariant=conservation_violations)
     reads = _order_entry_harness(read_mix=1.0)
     # The locked baseline replays the *same* read-only operations with the
     # read_only promise stripped, so both runs do identical work and only
@@ -143,20 +120,19 @@ def run_plan_cache_grid():
     snapshot_reads = reads.run(TAVProtocol, threads=THREADS,
                                transactions=TRANSACTIONS,
                                default_lock_timeout=10.0)
-    return exclusive, escrowed, locked_reads, snapshot_reads
+    return exclusive, locked_reads, snapshot_reads
 
 
 def test_plan_cache_payoff(benchmark):
     results = benchmark.pedantic(run_plan_cache_grid, rounds=1, iterations=1,
                                  warmup_rounds=0)
-    exclusive, escrowed, locked_reads, snapshot_reads = results
+    exclusive, locked_reads, snapshot_reads = results
 
     for result in results:
         assert result.serializable is True, "serializability violation"
         assert result.failed_labels == ()
         assert result.errors == ()
     assert exclusive.invariant_violations == ()
-    assert escrowed.invariant_violations == ()
 
     # 1. Compiled templates: substituting the OID beats re-planning, and a
     # steady-state workload run plans ≥95% of its operations from templates.
@@ -165,8 +141,8 @@ def test_plan_cache_payoff(benchmark):
     assert micro_hit_rate >= 0.95
     floors = [wall_clock_floor("uncached/cached planning time", plan_speedup,
                                low=1.5)]
-    assert escrowed.metrics.plan_cache_hit_rate >= 0.95, \
-        escrowed.metrics.plan_cache_hit_rate
+    assert exclusive.metrics.plan_cache_hit_rate >= 0.95, \
+        exclusive.metrics.plan_cache_hit_rate
 
     # 2. Bitmap admission: the mask check is asked and answers without a
     # holder scan.
@@ -174,16 +150,7 @@ def test_plan_cache_payoff(benchmark):
     assert mask_manager.stats.mask_checks > 0
     assert mask_manager.stats.fast_grants > 0
 
-    # 3. Escrow counters: the PR's headline floor — ≥1.3x commits/sec on
-    # the contended hot-counter workload, with every update admitted in
-    # escrow mode and the conservation invariant intact.
-    escrow_speedup = escrowed.commits_per_second / exclusive.commits_per_second
-    assert escrowed.metrics.escrow_admits > 0
-    assert exclusive.metrics.escrow_admits == 0
-    floors.append(wall_clock_floor("escrow/exclusive throughput",
-                                   escrow_speedup, low=1.3))
-
-    # 4. Snapshot reads: every read-only transaction was served from the
+    # 3. Snapshot reads: every read-only transaction was served from the
     # snapshot path, and a direct engine proves the path acquires no locks.
     assert snapshot_reads.metrics.snapshot_reads > 0
     assert locked_reads.metrics.snapshot_reads == 0
@@ -198,20 +165,18 @@ def test_plan_cache_payoff(benchmark):
         "population": POPULATION,
         "plan_rounds": PLAN_ROUNDS, "lock_rounds": LOCK_ROUNDS,
         "cached_over_uncached_planning": round(plan_speedup, 2),
-        "plan_cache_hit_rate": round(escrowed.metrics.plan_cache_hit_rate, 4),
+        "plan_cache_hit_rate": round(exclusive.metrics.plan_cache_hit_rate, 4),
         "bitmap_mask_checks": mask_manager.stats.mask_checks,
         "bitmap_fast_grants": mask_manager.stats.fast_grants,
-        "escrow_over_exclusive_throughput": round(escrow_speedup, 2),
         "snapshot_over_locked_reads": round(snapshot_speedup, 2),
         "floors": floors,
     }, benchmark="plan_cache")
 
     emit("Runtime payoff of the compiled analysis "
          f"(planning {plan_speedup:.1f}x cached, "
-         f"{mask_manager.stats.fast_grants} bitmap fast grants, escrow "
-         f"{escrow_speedup:.2f}x vs exclusive, snapshot reads "
-         f"{snapshot_speedup:.2f}x vs locked, hit rate "
-         f"{escrowed.metrics.plan_cache_hit_rate:.3f})",
+         f"{mask_manager.stats.fast_grants} bitmap fast grants, snapshot "
+         f"reads {snapshot_speedup:.2f}x vs locked, hit rate "
+         f"{exclusive.metrics.plan_cache_hit_rate:.3f})",
          format_throughput_table(results))
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.access_vector import AccessMode
-from repro.locking.modes import ClassLockMode, EscrowMode
+from repro.locking.modes import ClassLockMode
 
 _READ_WRITE = frozenset({"R", "W"})
 _ABSOLUTE = frozenset({"S", "X"})
@@ -60,26 +60,6 @@ def lock_covers(resource: tuple, mode, *, oid, class_name: str, field: str,
                 is_write: bool, schema, compiled) -> bool:
     """Whether one held lock ``(resource, mode)`` covers the field access."""
     kind = resource[0]
-    if isinstance(mode, EscrowMode):
-        # An escrow lock licenses both directions on exactly its field, on
-        # whatever granule the protocol's ordinary plan would have locked
-        # exclusively (the engine substitutes the mode request-for-request).
-        if field != mode.field:
-            return False
-        if kind == "instance":
-            return resource[1] == oid
-        if kind == "field":
-            return resource[1] == oid and resource[2] == field
-        if kind == "tuple":
-            return resource[2] == oid and \
-                field in _declared_fields(schema, resource[1])
-        if kind == "relation":
-            return resource[1] in schema.linearization(class_name) and \
-                field in _declared_fields(schema, resource[1])
-        if kind == "class":
-            name = resource[1]
-            return name == class_name or schema.is_ancestor(name, class_name)
-        return False
     if kind == "field":
         if resource[1] != oid or resource[2] != field:
             return False

@@ -12,20 +12,8 @@ permitted by access vectors".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
 
 from repro.core.access_vector import AccessVector
-from repro.lang.ast_nodes import (
-    Assignment,
-    BinaryOp,
-    Call,
-    Expression,
-    FloatLiteral,
-    IntLiteral,
-    Name,
-    UnaryOp,
-)
-from repro.schema.method import MethodDefinition
 
 
 @dataclass(frozen=True)
@@ -93,126 +81,6 @@ class CommutativityTable:
         if method not in self.methods:
             raise KeyError(f"class {self.class_name!r} has no access mode for "
                            f"method {method!r}")
-
-
-@dataclass(frozen=True)
-class EscrowUpdate:
-    """A method proved to be a pure counter update ``field := field ± delta``.
-
-    Such methods commute *semantically* even though their TAVs conflict
-    (both read and write the field): addition of deltas is commutative and
-    associative, so concurrent executions under a non-exclusive escrow lock
-    are serializable — each transaction's net delta is merged at commit and
-    undone as the inverse delta on abort.
-
-    Attributes:
-        method: the method selector.
-        field: the single field the method updates.
-        sign: ``+1`` when the update adds the delta, ``-1`` when it
-            subtracts it.
-        parameters: the method's formal parameters, in declaration order
-            (the environment of the delta expression).
-        delta: the delta expression; proved to reference only parameters,
-            numeric literals, arithmetic operators and built-in calls —
-            never a field, ``self`` or a message send.
-    """
-
-    method: str
-    field: str
-    sign: int
-    parameters: tuple[str, ...]
-    delta: Expression
-
-
-def escrow_update_of(definition: MethodDefinition,
-                     field_names: tuple[str, ...]) -> EscrowUpdate | None:
-    """Prove (or refuse to prove) that a method is escrow-admissible.
-
-    The accepted shape is a body consisting of exactly one assignment
-    ``f := f + delta`` or ``f := f - delta`` where ``f`` is a field and
-    ``delta`` is a pure expression over the method's parameters.  Returns
-    ``None`` whenever the proof fails — callers fall back to ordinary
-    locking, never the other way around.
-    """
-    statements = tuple(definition.body)
-    if len(statements) != 1 or not isinstance(statements[0], Assignment):
-        return None
-    assignment = statements[0]
-    target = assignment.target
-    if target not in field_names:
-        return None
-    value = assignment.value
-    if not isinstance(value, BinaryOp) or value.operator not in ("+", "-"):
-        return None
-    if not isinstance(value.left, Name) or value.left.identifier != target:
-        return None
-    parameters = frozenset(definition.parameters)
-    if not _pure_delta(value.right, parameters):
-        return None
-    return EscrowUpdate(method=definition.name, field=target,
-                        sign=1 if value.operator == "+" else -1,
-                        parameters=definition.parameters, delta=value.right)
-
-
-def _pure_delta(expression: Expression, parameters: frozenset[str]) -> bool:
-    """Whether ``expression`` depends only on parameters and literals."""
-    if isinstance(expression, (IntLiteral, FloatLiteral)):
-        return True
-    if isinstance(expression, Name):
-        return expression.identifier in parameters
-    if isinstance(expression, UnaryOp):
-        return expression.operator == "-" and _pure_delta(expression.operand, parameters)
-    if isinstance(expression, BinaryOp):
-        return expression.operator in ("+", "-", "*", "/") and \
-            _pure_delta(expression.left, parameters) and \
-            _pure_delta(expression.right, parameters)
-    if isinstance(expression, Call):
-        return all(_pure_delta(argument, parameters)
-                   for argument in expression.arguments)
-    return False
-
-
-def evaluate_escrow_delta(update: EscrowUpdate, arguments: tuple[Any, ...],
-                          builtins: Mapping[str, Callable[..., Any]] | None = None) -> Any:
-    """The signed delta one invocation of the update applies to its field.
-
-    Evaluated entirely outside the store — the proof guarantees the
-    expression never reads instance state.
-    """
-    if len(arguments) != len(update.parameters):
-        raise ValueError(
-            f"escrow update {update.method!r} expects {len(update.parameters)} "
-            f"argument(s), got {len(arguments)}")
-    environment = dict(zip(update.parameters, arguments))
-    value = _evaluate_pure(update.delta, environment, builtins or {})
-    return value if update.sign > 0 else -value
-
-
-def _evaluate_pure(expression: Expression, environment: Mapping[str, Any],
-                   builtins: Mapping[str, Callable[..., Any]]) -> Any:
-    if isinstance(expression, (IntLiteral, FloatLiteral)):
-        return expression.value
-    if isinstance(expression, Name):
-        return environment[expression.identifier]
-    if isinstance(expression, UnaryOp):
-        return -_evaluate_pure(expression.operand, environment, builtins)
-    if isinstance(expression, BinaryOp):
-        left = _evaluate_pure(expression.left, environment, builtins)
-        right = _evaluate_pure(expression.right, environment, builtins)
-        if expression.operator == "+":
-            return left + right
-        if expression.operator == "-":
-            return left - right
-        if expression.operator == "*":
-            return left * right
-        return left / right
-    if isinstance(expression, Call):
-        function = builtins.get(expression.function)
-        if function is None:
-            raise KeyError(f"unknown function {expression.function!r} in escrow delta")
-        return function(*[_evaluate_pure(argument, environment, builtins)
-                          for argument in expression.arguments])
-    raise TypeError(f"impure expression {expression!r} in escrow delta")
 
 
 def build_commutativity_table(class_name: str,

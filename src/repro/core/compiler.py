@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.access_vector import AccessVector
 from repro.core.analysis import MethodAnalysis, analyze_method, analyze_schema
-from repro.core.commutativity import (
-    CommutativityTable,
-    EscrowUpdate,
-    build_commutativity_table,
-    escrow_update_of,
-)
+from repro.core.commutativity import CommutativityTable, build_commutativity_table
 from repro.core.resolution_graph import ResolutionGraph, Vertex, build_resolution_graph
 from repro.core.tarjan import reachable_from
 from repro.core.tav import compute_class_tavs
@@ -53,9 +48,6 @@ class CompiledClass:
     #: instances anywhere in the method's execution pattern (transitive
     #: closure of the external calls over the resolution graph).
     external_calls: dict[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
-    #: Methods proved to be pure counter updates (``f := f ± delta``),
-    #: admissible under the non-exclusive escrow lock mode.
-    escrow_updates: dict[str, EscrowUpdate] = field(default_factory=dict)
 
     def dav(self, method: str) -> AccessVector:
         """The direct access vector of ``method`` (definition 6)."""
@@ -72,10 +64,6 @@ class CompiledClass:
     def has_external_sends(self, method: str) -> bool:
         """Whether ``method`` may send messages to other instances at run time."""
         return bool(self.external_calls.get(method))
-
-    def escrow_update(self, method: str) -> EscrowUpdate | None:
-        """The proved counter-update shape of ``method``, or ``None``."""
-        return self.escrow_updates.get(method)
 
     def _lookup(self, table: dict[str, AccessVector], method: str) -> AccessVector:
         try:
@@ -184,12 +172,6 @@ def _compile_class(schema: Schema, class_name: str,
             calls.update(analysis_of(vertex).external_calls)
         external_calls[method] = frozenset(calls)
 
-    escrow_updates: dict[str, EscrowUpdate] = {}
-    for method, resolved in schema.methods(class_name).items():
-        update = escrow_update_of(resolved.definition, field_names)
-        if update is not None:
-            escrow_updates[method] = update
-
     return CompiledClass(
         name=class_name,
         fields=field_names,
@@ -200,7 +182,6 @@ def _compile_class(schema: Schema, class_name: str,
         tavs=tavs,
         commutativity=table,
         external_calls=external_calls,
-        escrow_updates=escrow_updates,
     )
 
 

@@ -77,8 +77,6 @@ from repro.analysis.sanitizer import (
     Sanitizer,
     sanitize_from_env,
 )
-from repro.analysis.coverage import lock_covers
-from repro.core.commutativity import EscrowUpdate, evaluate_escrow_delta
 from repro.engine.detector import DeadlockDetector
 from repro.engine.locks import USE_DEFAULT_TIMEOUT
 from repro.engine.metrics import EngineMetrics
@@ -90,8 +88,7 @@ from repro.errors import (
     TransactionError,
     TwoPhaseCommitError,
 )
-from repro.locking.modes import EscrowMode
-from repro.objects.interpreter import Interpreter, default_builtins
+from repro.objects.interpreter import Interpreter
 from repro.objects.oid import OID
 from repro.objects.store import ObjectStore
 from repro.sharding.backends import (
@@ -105,13 +102,11 @@ from repro.sharding.router import HashShardRouter, ShardRouter
 from repro.sharding.rpc import DEFAULT_PARTICIPANT_TIMEOUT, RemoteShardClient
 from repro.sharding.twopc import TwoPhaseCommitCoordinator
 from repro.sim.workload import TransactionSpec
-from repro.txn.escrow import EscrowLedger
-from repro.txn.operations import MethodCall, Operation
+from repro.txn.operations import Operation
 from repro.txn.plan_cache import PlanCache
 from repro.txn.protocols.base import (
     ConcurrencyControlProtocol,
     LockPlan,
-    LockRequestSpec,
 )
 from repro.txn.transaction import Transaction, TransactionState
 from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint
@@ -150,8 +145,7 @@ class Engine:
                  replicas: int = 0,
                  participant_timeout: float = DEFAULT_PARTICIPANT_TIMEOUT,
                  tracer: Tracer | None = None,
-                 sanitize: bool | None = None,
-                 escrow: bool = False) -> None:
+                 sanitize: bool | None = None) -> None:
         self._protocol = protocol
         self._store = protocol.store
         if sanitize is None:
@@ -237,17 +231,8 @@ class Engine:
             execution_store = SanitizedStoreFront(execution_store,
                                                   self._sanitizer)
         self._interpreter = Interpreter(execution_store, builtins=builtins)
-        #: The builtins escrow-delta evaluation and snapshot interpreters
-        #: share with the main interpreter (delta expressions may call them).
+        #: The builtins snapshot interpreters share with the main one.
         self._builtins_arg = dict(builtins) if builtins else None
-        self._merged_builtins = dict(default_builtins())
-        if builtins:
-            self._merged_builtins.update(builtins)
-        #: Escrow admission was asked for; whether a ledger exists is the
-        #: backend's call (without one, eligible requests count as fallbacks).
-        self._escrow_requested = bool(escrow)
-        self._escrow: EscrowLedger | None = (
-            self._backend.enable_escrow(execution_store) if escrow else None)
         #: The planning entry point: compiled templates, else the planner.
         self._plans = PlanCache(protocol)
         #: Bumped by structural changes (create/delete); part of the
@@ -539,14 +524,6 @@ class Engine:
             # No snapshot source in this process: the ordinary locked path.
         plan, final = self._plan(operation)
         transaction.stats.control_points += plan.control_points
-        if self._escrow is not None and not transaction.read_only:
-            results = self._maybe_escrow(transaction, operation, plan,
-                                         timeout, root)
-            if results is not None:
-                return results
-        elif (self._escrow_requested and isinstance(operation, MethodCall)
-              and self._escrow_update_for(operation) is not None):
-            self.metrics.record_escrow_fallback()
         shard_id = self._backend.fused_shard(plan)
         if shard_id is not None:
             results = self._perform_fused(transaction, operation, plan,
@@ -676,105 +653,6 @@ class Engine:
         self.metrics.record_plan_cache(final)
         return plan, final
 
-    def _escrow_update_for(self, operation: MethodCall) -> EscrowUpdate | None:
-        """The proved counter-update shape of this call, or ``None``.
-
-        Resolved against the receiver's *proper* class — that is what the
-        interpreter's late binding would execute — so a prefixed send
-        (``as_class``) stays on the ordinary path.
-        """
-        if operation.as_class is not None:
-            return None
-        compiled_class = self._protocol.compiled.classes.get(
-            operation.oid.class_name)
-        if compiled_class is None:
-            return None
-        return compiled_class.escrow_update(operation.method)
-
-    def _escrowed_plan(self, plan: LockPlan, oid: OID,
-                       update: EscrowUpdate) -> LockPlan | None:
-        """The plan with its write-covering requests demoted to escrow mode.
-
-        The substitution is request-for-request on the *protocol's own*
-        granules — the TAV instance lock, the relational tuple, the field
-        lock — so escrow admissions conflict with ordinary work on exactly
-        the resources the ordinary plan would have claimed exclusively,
-        and commute only with each other (``escrow_compatible``).  A plan
-        in which nothing covers the update's field (it should not exist
-        for a proved update) yields ``None``: no escrow admission.
-        """
-        compiled = self._protocol.compiled
-        schema = compiled.schema
-        mode = EscrowMode(update.method, update.field)
-        requests: list[LockRequestSpec] = []
-        changed = False
-        for request in plan.requests:
-            if lock_covers(request.resource, request.mode, oid=oid,
-                           class_name=oid.class_name, field=update.field,
-                           is_write=True, schema=schema, compiled=compiled):
-                requests.append(LockRequestSpec(resource=request.resource,
-                                                mode=mode, note="escrow"))
-                changed = True
-            else:
-                requests.append(request)
-        if not changed:
-            return None
-        return LockPlan(requests=tuple(requests),
-                        control_points=plan.control_points,
-                        receivers=(), undo_projections=())
-
-    def _maybe_escrow(self, transaction: Transaction, operation: Operation,
-                      plan: LockPlan, timeout: float | None | object,
-                      root: Span | None) -> list[Any] | None:
-        """Admit a proved counter update under escrow locks, or ``None``.
-
-        ``None`` means *take the ordinary path* — the fallback direction is
-        always safe.  An admission acquires the substituted plan (escrow
-        mode on the write-covering granules, intentions unchanged), merges
-        the delta through the ledger (WAL-atomically when durable) and
-        skips the interpreter entirely: the proof already reduced the
-        method body to ``field += delta``.
-        """
-        if not isinstance(operation, MethodCall):
-            return None
-        update = self._escrow_update_for(operation)
-        if update is None:
-            return None
-        oid = operation.oid
-        txn = transaction.txn_id
-        try:
-            delta = evaluate_escrow_delta(update, tuple(operation.arguments),
-                                          self._merged_builtins)
-        except Exception:
-            self.metrics.record_escrow_fallback()
-            return None
-        if any(record.oid == oid and update.field in record.values
-               for record in self._recovery.log_of(txn)):
-            # An ordinary write already imaged this field: abort restores
-            # that image *first*, which would erase a later delta from the
-            # inverse pass's baseline.  The exclusive path is safe (its new
-            # image would embed any earlier deltas); the reverse order is
-            # not, so it is the one we refuse.
-            self.metrics.record_escrow_fallback()
-            return None
-        escrow_plan = self._escrowed_plan(plan, oid, update)
-        if escrow_plan is None:
-            self.metrics.record_escrow_fallback()
-            return None
-        self._acquire_round(
-            transaction, [(request.resource, request.mode)
-                          for request in escrow_plan.requests], timeout, root)
-        if self._sanitizer is not None:
-            self._sanitizer.note_images(txn, ((oid, (update.field,)),))
-            scope: Any = self._sanitizer.operation_scope(txn, escrow_plan)
-        else:
-            scope = _NO_SCOPE
-        with self._maybe_span(root, f"escrow:{operation.method}",
-                              "exec"), scope:
-            self._escrow.apply(txn, oid, update.field, delta)
-        self.metrics.record_escrow_admit()
-        return self._performed(transaction, operation, [None])
-
     def _perform_snapshot(self, transaction: Transaction,
                           operation: Operation,
                           root: Span | None) -> list[Any] | None:
@@ -801,8 +679,7 @@ class Engine:
 
         Keyed by ``(len(commit_log), structural epoch)`` — a new commit or
         a create/delete invalidates; reads between commits share one copy.
-        Built under the commit mutex (no commit can land mid-copy) with
-        the escrow ledger frozen (no delta can apply or revert mid-copy).
+        Built under the commit mutex (no commit can land mid-copy).
         """
         with self._snapshot_mutex:
             with self._commit_mutex:
@@ -810,10 +687,7 @@ class Engine:
                 cached = self._snapshot_cache
                 if cached is not None and cached[0] == key:
                     return cached[1]
-                frozen = (self._escrow.frozen() if self._escrow is not None
-                          else contextlib.nullcontext())
-                with frozen:
-                    snapshot = self._build_snapshot_store()
+                snapshot = self._build_snapshot_store()
             interpreter = Interpreter(_ReadOnlyStoreFront(snapshot),
                                       builtins=self._builtins_arg)
             self._snapshot_cache = (key, interpreter)
@@ -824,9 +698,8 @@ class Engine:
 
         The fuzzy copy may contain values of transactions still in flight
         (or mid-abort); they are rolled back exactly the way an abort
-        would — oldest before-image per cell first, then the inverse of
-        every unresolved escrow delta — so the result is the state all
-        decided transactions produced and nobody else touched.
+        would — oldest before-image per cell first — so the result is the
+        state all decided transactions produced and nobody else touched.
         """
         snapshot = ObjectStore(self._store.schema)
         for oid, class_name, values in sorted(
@@ -844,15 +717,6 @@ class Engine:
                         continue
                     restored.add(cell)
                     snapshot.get(record.oid).set(name, value)
-        if self._escrow is not None:
-            for txn, entries in self._escrow.all_entries().items():
-                if self._txn_settled(txn):
-                    continue
-                for _shard, oid, field, delta in entries:
-                    if oid not in snapshot:
-                        continue
-                    instance = snapshot.get(oid)
-                    instance.set(field, instance.get(field) - delta)
         return snapshot
 
     def _txn_settled(self, txn: int) -> bool:
@@ -1111,11 +975,6 @@ class Engine:
             "unavailable_completions":
                 self._coordinator.unavailable_completions,
             "plan_cache": self._plans.stats.as_dict(),
-            "escrow": {
-                "enabled": self._escrow is not None,
-                "requested": self._escrow_requested,
-                "applied": 0 if self._escrow is None else self._escrow.applied,
-            },
         }
 
     # -- the command layer --------------------------------------------------------
@@ -1220,11 +1079,6 @@ class Engine:
         """The planning entry point the hot path plans through (compiled
         templates, else ``protocol.plan()``), with its counters."""
         return self._plans
-
-    @property
-    def escrow_ledger(self) -> EscrowLedger | None:
-        """The escrow ledger when escrow admission is on (in-process only)."""
-        return self._escrow
 
     @property
     def detector(self) -> DeadlockDetector:

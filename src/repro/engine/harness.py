@@ -770,7 +770,6 @@ def write_bench_json(path: str, results: Sequence[HarnessResult],
             "instances": arguments.instances,
             "scenario": getattr(arguments, "scenario", "banking"),
             "read_mix": getattr(arguments, "read_mix", 0.0),
-            "escrow": getattr(arguments, "escrow", False),
             "seed": arguments.seed,
             "lock_timeout": arguments.lock_timeout,
             "durability": arguments.durability,
@@ -837,15 +836,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="fraction of transactions declared read-only "
                              "and served from the engine's lock-free "
                              "snapshot path (default: 0.0)")
-    parser.add_argument("--escrow", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="run the engine with commutativity-aware "
-                             "escrow counters: compiled counter updates "
-                             "acquire a non-exclusive escrow lock instead "
-                             "of a write lock, so concurrent increments of "
-                             "one hot field no longer serialise "
-                             "(--no-escrow restores exclusive locking; "
-                             "inproc transport only)")
     parser.add_argument("--instances", type=int, default=4,
                         help="instances per class (default: 4 — a hot store; "
                              "raise it to dilute contention)")
@@ -926,9 +916,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--sanitize wraps the engine in this process; it needs "
                      "--transport inproc (set REPRO_SANITIZE=1 on the "
                      "server for socket runs)")
-    if arguments.escrow and arguments.transport != "inproc":
-        parser.error("--escrow configures the engine in this process; it "
-                     "needs --transport inproc")
     if arguments.scenario != "banking" and arguments.transport != "inproc":
         parser.error("--scenario order-entry populates a non-banking store; "
                      "spawned servers only rebuild the banking population, "
@@ -1014,8 +1001,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              invariant=invariant,
                              default_lock_timeout=arguments.lock_timeout,
                              **({"sanitize": True} if arguments.sanitize
-                                else {}),
-                             **({"escrow": True} if arguments.escrow
                                 else {}))
         results.append(result)
     print(format_throughput_table(results))

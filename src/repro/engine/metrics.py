@@ -86,12 +86,6 @@ class EngineMetrics:
     #: Locked operations planned by ``protocol.plan()`` (data-dependent:
     #: extent/domain receivers, external sends, shadow-run protocols).
     plan_cache_misses: int = 0
-    #: Operations admitted under the non-exclusive escrow mode (no ordinary
-    #: lock taken; the counter delta merged directly).
-    escrow_admits: int = 0
-    #: Escrow-eligible operations that fell back to ordinary locking
-    #: (worker mode, prior ordinary write of the field, unevaluable delta).
-    escrow_fallbacks: int = 0
     #: Read-only operations served from the lock-free snapshot path.
     snapshot_reads: int = 0
     #: Read-only operations that fell back to the locked path (worker mode).
@@ -117,7 +111,6 @@ class EngineMetrics:
                "lock_requests", "waits", "wait_time", "operations",
                "rpc_requests", "frames_sent",
                "plan_cache_hits", "plan_cache_misses",
-               "escrow_admits", "escrow_fallbacks",
                "snapshot_reads", "snapshot_fallbacks",
                "elapsed", "wal_bytes")
 
@@ -227,14 +220,6 @@ class EngineMetrics:
             else:
                 self.plan_cache_misses += 1
 
-    def record_escrow_admit(self) -> None:
-        with self._mutex:
-            self.escrow_admits += 1
-
-    def record_escrow_fallback(self) -> None:
-        with self._mutex:
-            self.escrow_fallbacks += 1
-
     def record_snapshot_read(self) -> None:
         with self._mutex:
             self.snapshot_reads += 1
@@ -305,7 +290,6 @@ class EngineMetrics:
             "rpcs": self.rpc_requests,
             "frames": self.frames_sent,
             "plan_hit_rate": round(self.plan_cache_hit_rate, 3),
-            "escrow_admits": self.escrow_admits,
             "snapshot_reads": self.snapshot_reads,
             "elapsed_s": round(self.elapsed, 3),
             "commits_per_s": round(self.commits_per_second, 1),

@@ -10,11 +10,9 @@ and the run-time field-locking scheme without special cases.
 
 from repro.locking.modes import (
     ClassLockMode,
-    EscrowMode,
     MULTIGRANULARITY_COMPATIBILITY,
     RW_COMPATIBILITY,
     class_lock_compatible,
-    escrow_compatible,
     multigranularity_compatible,
     rw_compatible,
 )
@@ -29,8 +27,6 @@ from repro.locking.manager import (
 
 __all__ = [
     "ClassLockMode",
-    "EscrowMode",
-    "escrow_compatible",
     "LockManager",
     "LockManagerStats",
     "LockRequestOutcome",

@@ -86,41 +86,6 @@ class ClassLockMode:
         return f"({self.method}, {kind})"
 
 
-@dataclass(frozen=True)
-class EscrowMode:
-    """A non-exclusive counter-update lock on one numeric field.
-
-    Granted to methods the compiler proved to be pure increments or
-    decrements of a single field (``f := f ± expr`` with the delta computed
-    from parameters and literals only).  Two escrow locks always commute —
-    the deltas are merged at commit and undone as inverse deltas — while an
-    escrow lock conflicts with every ordinary mode touching the instance.
-    """
-
-    method: str
-    field: str
-
-    def __str__(self) -> str:
-        return f"escrow({self.method}:{self.field})"
-
-
-def escrow_compatible(first: object, second: object) -> bool | None:
-    """Escrow-aware compatibility overlay for instance locks.
-
-    Returns ``True``/``False`` when at least one mode is an
-    :class:`EscrowMode` (escrow/escrow pairs commute, escrow/ordinary pairs
-    conflict), or ``None`` when neither is — the caller falls through to the
-    protocol's own table.
-    """
-    first_escrow = isinstance(first, EscrowMode)
-    second_escrow = isinstance(second, EscrowMode)
-    if first_escrow and second_escrow:
-        return True
-    if first_escrow or second_escrow:
-        return False
-    return None
-
-
 def class_lock_compatible(first: ClassLockMode, second: ClassLockMode,
                           commutes: Callable[[str, str], bool]) -> bool:
     """Compatibility between two class locks of the paper's protocol.

@@ -23,17 +23,15 @@ from repro.reporting.tables import format_records
 #: ``p50_ms``/``p95_ms``/``p99_ms`` are commit-latency percentiles from the
 #: engine's mergeable log-scaled histogram (see :mod:`repro.obs.histogram`).
 #: ``plan_hit`` is the share of locked operations planned from a compiled
-#: template,
-#: ``escrow`` the operations admitted in commutative escrow mode, and
-#: ``snap_reads`` the read-only operations served from the lock-free
-#: snapshot path — the three runtime-payoff counters.  ``invariant`` is the
-#: workload-level conservation verdict (order-entry scenario only).
+#: template, and ``snap_reads`` the read-only operations served from the
+#: lock-free snapshot path — the two runtime-payoff counters.  ``invariant``
+#: is the workload-level conservation verdict (order-entry scenario only).
 _COLUMNS = ("protocol", "threads", "shards", "workers", "durability",
             "transport", "pipeline", "txns",
             "committed", "xshard", "aborted", "retries", "deadlocks",
             "timeouts", "overloads", "rpcs", "frames", "commits_per_s",
             "abort_rate", "mean_wait_ms", "p50_ms", "p95_ms", "p99_ms",
-            "plan_hit_rate", "escrow_admits", "snapshot_reads", "wal",
+            "plan_hit_rate", "snapshot_reads", "wal",
             "elapsed_s", "serializable", "invariant")
 
 

@@ -136,8 +136,9 @@ def order_entry_schema() -> Schema:
     """A TPC-C-style order-entry schema: hot counters plus read-only queries.
 
     ``Warehouse`` carries the contended year-to-date and order counters that
-    every sale updates — both methods are pure counter updates
-    (``f := f ± delta``) and therefore escrow-admissible.  ``Stock`` pairs a
+    every sale updates — both methods are counter updates
+    (``f := f ± delta``) that read and write one field, so every sale of
+    one warehouse conflicts with every other.  ``Stock`` pairs a
     decrement of ``quantity`` with an increment of ``sold``, so the sum
     ``quantity + sold`` is conserved by every sale: the conservation
     invariant the sequential-replay verifier checks.  ``activity_report``

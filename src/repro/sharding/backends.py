@@ -8,8 +8,7 @@ rule L10 keeps it that way):
 * :class:`LocalShardBackend` — the shards are objects in this interpreter:
   one :class:`~repro.engine.locks.BlockingLockManager`, undo log,
   :class:`~repro.sharding.twopc.ShardParticipant` and (when durable)
-  write-ahead log per shard, the checkpointer over them, and the escrow
-  ledger, which needs the partitions in-process to merge deltas;
+  write-ahead log per shard and the checkpointer over them;
 * :class:`WorkerShardBackend` — one ``python -m repro.sharding.worker``
   process per shard (plus hot standbys) reached through
   :class:`~repro.sharding.rpc.RemoteShardClient`: spawn, handshake,
@@ -24,7 +23,7 @@ shard handles.  Both classes offer the attributes ``locks``, ``recovery``,
 ``participants``, ``wals``, ``checkpointer``, ``execution_store``,
 ``snapshot_source``, ``shard_clients``, ``standby_clients``, ``replicas``
 and ``failovers``, and the methods the engine's transaction path calls
-(``enable_escrow``, ``fused_shard``, ``executing``, ``stage_prepare``,
+(``fused_shard``, ``executing``, ``stage_prepare``,
 ``committed``, ``aborted``) next to the operational ones
 (``create_instance``, ``delete_instance``, ``checkpoint``, ``wal_bytes``,
 ``store_state``, ``shard_stats``, ``standby_stats``,
@@ -52,7 +51,6 @@ from repro.sharding.recovery import ShardedRecoveryManager
 from repro.sharding.router import ShardRouter
 from repro.sharding.rpc import FusedOutcome, RemoteShardClient
 from repro.sharding.twopc import ShardParticipant
-from repro.txn.escrow import EscrowLedger
 from repro.txn.operations import Operation
 from repro.txn.protocols.base import ConcurrencyControlProtocol, LockPlan
 from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint, compact_decisions
@@ -97,7 +95,6 @@ class LocalShardBackend:
         #: Snapshot reads copy committed state from here: the store itself.
         self.snapshot_source = self._store
         self._router = router
-        self._escrow: EscrowLedger | None = None
         self.wals: tuple[WriteAheadLog | None, ...] = (None,) * num_shards
         if durability.enabled:
             self.wals = tuple(
@@ -123,8 +120,7 @@ class LocalShardBackend:
         if durability.enabled:
             self.checkpointer = CheckpointManager(
                 self._store, router, self.recovery, list(self.wals),
-                durability, decision_log=decision_log,
-                extra_pending=self._escrow_pending)
+                durability, decision_log=decision_log)
             # The base checkpoint: instances created before the engine
             # existed (population) are durable from the very first moment —
             # the WAL only ever has to carry field updates.
@@ -136,22 +132,6 @@ class LocalShardBackend:
     def execution_store(self) -> Any:
         """The store method bodies execute against: the store itself."""
         return self._store
-
-    def enable_escrow(self, store: Any) -> EscrowLedger:
-        """Create the escrow ledger; deltas are applied through ``store``.
-
-        The engine passes its (possibly sanitized) execution front, so
-        every escrow merge is coverage-checked against its EscrowMode lock;
-        undo reversals run outside any operation scope and pass through
-        (exactly like the recovery manager's image restores).
-        """
-        self._escrow = EscrowLedger(store, self._router,
-                                    self._router.num_shards, wals=self.wals)
-        return self._escrow
-
-    def _escrow_pending(self, shard_id: int) -> tuple[int, ...]:
-        """The escrow ledger's keep-set contribution for one shard's checkpoint."""
-        return () if self._escrow is None else self._escrow.pending(shard_id)
 
     # -- the transaction path -----------------------------------------------------
 
@@ -170,20 +150,10 @@ class LocalShardBackend:
     def committed(self, txn: int) -> None:
         """Phase two ran: the participants dropped the undo logs."""
         self.recovery.discard_tracking(txn)
-        if self._escrow is not None:
-            # The commit decision is durable: the deltas are final and
-            # their WAL records may be released to the next checkpoint.
-            self._escrow.forget(txn)
 
     def aborted(self, txn: int) -> None:
-        """The participants restored the before-images; reverse the deltas."""
+        """The participants restored the before-images."""
         self.recovery.discard_tracking(txn)
-        if self._escrow is not None:
-            # Inverse-apply after the image restores: a field that got an
-            # ordinary write after an escrow merge had its image capture
-            # the delta, so the restore re-establishes it and the inverse
-            # still nets the field back to base.
-            self._escrow.undo(txn)
 
     # -- structural changes -------------------------------------------------------
 
@@ -538,11 +508,6 @@ class WorkerShardBackend:
     def execution_store(self) -> Any:
         """The store cross-shard method bodies execute against."""
         return self._front
-
-    def enable_escrow(self, store: Any) -> None:
-        """No ledger: worker partitions cannot merge deltas yet, so the
-        engine counts escrow-eligible requests as fallbacks instead."""
-        return None
 
     def fused_shard(self, plan: LockPlan) -> int | None:
         """The single shard the plan routes to entirely, or ``None``.

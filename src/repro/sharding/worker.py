@@ -102,7 +102,7 @@ from repro.wal.checkpoint import (
     encode_instances,
     read_checkpoint_file,
 )
-from repro.wal.log import DecisionLog, WriteAheadLog, read_stamped_records
+from repro.wal.log import DecisionLog, WriteAheadLog, read_records
 from repro.wal.recovery_runner import ShardReplay, replay_shard, restore_snapshot
 
 #: The deterministic schemas a worker can build by name (the coordinator and
@@ -310,9 +310,8 @@ class ShardWorker:
         document = read_checkpoint_file(self._ckpt_path) or {"instances": []}
         restored = restore_snapshot(self._store, document["instances"])
         replay = replay_shard(
-            self._store, list(read_stamped_records(self._wal_path)),
+            self._store, list(read_records(self._wal_path)),
             DecisionLog.outcomes_at(self._decisions_path),
-            int(document.get("last_lsn", 0)),
             ShardReplay(max_number=max((oid.number for oid in restored),
                                        default=0)))
         self._store.advance_oids_past(replay.max_number)

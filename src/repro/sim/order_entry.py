@@ -1,26 +1,24 @@
 """A TPC-C-style order-entry scenario over :func:`order_entry_schema`.
 
-The scenario is the workload the runtime optimisations were built for:
+The scenario is a hot-counter workload under ordinary locking:
 
 * **Sale transactions** hammer a handful of ``Warehouse`` counters
   (``record_sale``/``note_order``) and pair a ``Stock.take_stock(count)``
   with a ``Stock.record_sold(count)`` of the *same* count — every method a
-  pure counter update, so under ``Engine(escrow=True)`` the whole
-  transaction runs in escrow mode and concurrent sales never block on the
-  hot counters.
+  counter update that reads and writes its field, so concurrent sales of
+  one item conflict on its instance lock and serialise.
 * **Query transactions** (``activity_report``/``stock_level``) are marked
   ``read_only=True`` so drivers route them down the engine's lock-free
   snapshot path.
 
 Because each sale moves ``count`` units from ``quantity`` to ``sold`` on
 one ``Stock``, the sum ``quantity + sold`` is *conserved* per stock item no
-matter which subset of transactions commits, in which serialisation order,
-and whether they ran escrowed or exclusively.  That gives the
-sequential-replay verifier a second, workload-level invariant:
-:func:`conservation_violations` compares the totals of the initial and
+matter which subset of transactions commits, or in which serialisation
+order.  That gives the sequential-replay verifier a second, workload-level
+invariant: :func:`conservation_violations` compares the totals of the initial and
 final store states and returns every stock item whose units leaked.  A
 non-empty answer means lost or duplicated updates — exactly the failure a
-broken escrow merge (or a non-serializable schedule) would produce.
+broken undo or a non-serializable schedule would produce.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def conservation_violations(
 
     Every committed (or aborted-and-undone) sale conserves the sum, so any
     difference is a lost or duplicated update — the signature of a broken
-    escrow merge or a non-serializable schedule.  Returns human-readable
+    undo or a non-serializable schedule.  Returns human-readable
     descriptions, one per leaking instance; empty means the invariant held.
     """
     before = conserved_totals(initial)

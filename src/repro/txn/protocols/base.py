@@ -9,7 +9,6 @@ from typing import Any, Callable, Hashable, Mapping
 from repro.core.compiler import CompiledSchema
 from repro.core.modes import AccessMode
 from repro.locking.manager import LockManager, frozen
-from repro.locking.modes import escrow_compatible
 from repro.objects.interpreter import ExecutionTrace, Interpreter, MessageEvent
 from repro.objects.oid import OID
 from repro.objects.shadow import ShadowStore
@@ -187,20 +186,8 @@ class ConcurrencyControlProtocol(abc.ABC):
                     self._templates[(class_name, method, as_class)] = template
 
     def create_lock_manager(self) -> LockManager:
-        """A lock manager wired to this protocol's compatibility function.
-
-        The protocol's table is wrapped with the escrow overlay: two escrow
-        modes always commute, an escrow mode conflicts with every ordinary
-        mode, and ordinary pairs fall through to :meth:`compatible`.
-        """
-        return LockManager(self._escrow_aware_compatible)
-
-    def _escrow_aware_compatible(self, resource: Hashable, held: Hashable,
-                                 requested: Hashable) -> bool:
-        overlay = escrow_compatible(held, requested)
-        if overlay is not None:
-            return overlay
-        return self.compatible(resource, held, requested)
+        """A lock manager wired to this protocol's compatibility function."""
+        return LockManager(self.compatible)
 
     def execute(self, operation: Operation, interpreter: Interpreter,
                 trace: ExecutionTrace | None = None) -> list[Any]:

@@ -29,7 +29,6 @@ from repro.wal.log import DecisionLog, WriteAheadLog, read_records
 from repro.wal.checkpoint import CheckpointManager, ShardCheckpoint
 from repro.wal.records import (
     DecisionRecord,
-    EscrowDelta,
     PreparedMarker,
     RedoImage,
     UndoImage,
@@ -42,7 +41,6 @@ __all__ = [
     "DecisionLog",
     "DecisionRecord",
     "Durability",
-    "EscrowDelta",
     "PreparedMarker",
     "RecoveryReport",
     "RecoveryResult",

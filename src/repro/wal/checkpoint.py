@@ -81,10 +81,6 @@ def write_checkpoint_file(path, shard_id: int, active: Sequence[int],
     """Atomically install one shard's snapshot file (tmp + fsync + rename).
 
     ``last_lsn`` is the highest WAL stamp already reflected in the snapshot.
-    Escrow deltas are applied atomically with their append (both under the
-    WAL mutex the checkpointer holds), so the boundary is exact: a delta
-    record stamped at or below ``last_lsn`` is inside the snapshot, one
-    above it is not.
     """
     document = {
         "shard": shard_id,
@@ -196,18 +192,13 @@ class CheckpointManager:
                  recovery: "ShardedRecoveryManager",
                  wals: Sequence[WriteAheadLog],
                  durability: Durability,
-                 decision_log: "DecisionLog | None" = None,
-                 extra_pending: "Callable[[int], Iterable[int]] | None" = None) -> None:
+                 decision_log: "DecisionLog | None" = None) -> None:
         self._store = store
         self._router = router
         self._recovery = recovery
         self._wals = tuple(wals)
         self._durability = durability
         self._decision_log = decision_log
-        #: Additional per-shard pending transactions the keep-read must
-        #: honour — the escrow ledger's, whose deltas have no undo images
-        #: and so are invisible to the recovery manager's pending set.
-        self._extra_pending = extra_pending
         self._checkpoint_mutex = threading.Lock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -238,16 +229,9 @@ class CheckpointManager:
 
     def _checkpoint_shard(self, shard_id: int) -> ShardCheckpoint:
         manager = self._recovery.shard_manager(shard_id)
-
-        def pending() -> set[int]:
-            keep = set(manager.pending_transactions())
-            if self._extra_pending is not None:
-                keep.update(self._extra_pending(shard_id))
-            return keep
-
         return checkpoint_shard(self._wals[shard_id],
                                 self._durability.checkpoint_path(shard_id),
-                                shard_id, pending,
+                                shard_id, manager.pending_transactions,
                                 lambda: self._snapshot_shard(shard_id),
                                 fsync=self._durability.fsync)
 

@@ -183,33 +183,6 @@ class InstanceDeleted:
 
 
 @dataclass(frozen=True)
-class EscrowDelta:
-    """One escrow counter update: ``field += delta`` on one instance.
-
-    Unlike an :class:`UndoImage`/:class:`RedoImage` pair, the record *is*
-    the operation: recovery re-applies winners' deltas and inverse-applies
-    losers' — restoring an absolute before-image would erase the deltas of
-    concurrent escrow transactions on the same field.  The record is
-    appended write-through **atomically with** the in-memory apply (both
-    under the WAL mutex), which is what makes the checkpoint's ``last_lsn``
-    an exact boundary between "delta already in the snapshot" and "delta
-    must be replayed".
-    """
-
-    txn: int
-    oid: OID
-    field: str
-    delta: Any
-
-    kind = "escrow"
-
-    def payload(self) -> dict[str, Any]:
-        return {"kind": self.kind, "txn": self.txn,
-                "oid": _encode_oid(self.oid), "field": self.field,
-                "delta": encode_value(self.delta)}
-
-
-@dataclass(frozen=True)
 class DecisionRecord:
     """One coordinator decision (``commit`` or ``abort``) made durable."""
 
@@ -225,7 +198,7 @@ class DecisionRecord:
 
 
 WALRecord = (UndoImage | RedoImage | PreparedMarker | InstanceCreated
-             | InstanceDeleted | EscrowDelta | DecisionRecord)
+             | InstanceDeleted | DecisionRecord)
 
 
 def record_from_payload(payload: Mapping[str, Any]) -> WALRecord:
@@ -247,10 +220,6 @@ def record_from_payload(payload: Mapping[str, Any]) -> WALRecord:
                          values=_decode_values(payload["values"]))
     if kind == PreparedMarker.kind:
         return PreparedMarker(txn=payload["txn"])
-    if kind == EscrowDelta.kind:
-        return EscrowDelta(txn=payload["txn"], oid=_decode_oid(payload["oid"]),
-                           field=payload["field"],
-                           delta=decode_value(payload["delta"]))
     if kind == DecisionRecord.kind:
         return DecisionRecord(txn=payload["txn"], verdict=payload["verdict"],
                               shards=tuple(payload["shards"]))
@@ -288,7 +257,10 @@ def decode_stamped_frames(data: bytes) -> Iterator[tuple[int, WALRecord]]:
     checksum.  An *implausible* length prefix (beyond :data:`_MAX_PAYLOAD`)
     also stops the scan — treating it as a tear keeps recovery running on
     the intact prefix.  Frames written before LSN stamping existed decode
-    with ``lsn`` 0 (no real stamp is ever 0 — stamps start at 1).
+    with ``lsn`` 0 (no real stamp is ever 0 — stamps start at 1).  A frame
+    that passes its checksum but names an unknown record kind is not a
+    tear: :func:`record_from_payload` raises :class:`WALError`, because
+    skipping it could silently drop committed work.
     """
     offset = 0
     total = len(data)

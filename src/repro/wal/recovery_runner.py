@@ -26,14 +26,15 @@ Replay order per shard, after the snapshot is loaded:
    makes this converge on committed values: a loser's before-image is
    always the committed value at the time it took the write lock, and an
    in-doubt loser (crashed holding its locks) is necessarily the last
-   writer of its fields.  Losers' escrow deltas still inside the base are
-   then inverse-applied;
+   writer of its fields;
 2. **redo winners, oldest first** — every after-image of every committed
-   transaction is re-applied in log order, interleaved with the winners'
-   escrow deltas the base is missing.  Redo images are appended at
+   transaction is re-applied in log order.  Redo images are appended at
    prepare time, so for any one field their log order is the commit order,
    and replay ends on the last committed value whether or not the fuzzy
    snapshot had already caught it (re-applying is idempotent).
+
+Both passes install images only — the before- and after-images of the
+access-vector projection — so recovery needs no inverse operations.
 
 The runner is read-only with respect to the directory: recovering twice
 from the same files yields the same store, and a recovered workload should
@@ -51,9 +52,8 @@ from repro.objects.store import ObjectStore
 from repro.schema import Schema
 from repro.wal.checkpoint import read_checkpoint_file
 from repro.wal.durability import Durability
-from repro.wal.log import DecisionLog, read_stamped_records
+from repro.wal.log import DecisionLog, read_records
 from repro.wal.records import (
-    EscrowDelta,
     InstanceCreated,
     InstanceDeleted,
     RedoImage,
@@ -89,10 +89,6 @@ class RecoveryReport:
     created_replayed: int = 0
     #: Mid-epoch deletions re-applied from structural WAL records.
     deleted_replayed: int = 0
-    #: Winners' escrow deltas re-applied (those past the snapshot boundary).
-    escrow_redone: int = 0
-    #: Losers' escrow deltas inverse-applied (those inside the snapshot).
-    escrow_undone: int = 0
 
     def as_document(self) -> dict[str, Any]:
         """A JSON-ready summary (CI uploads this as the recovery report)."""
@@ -108,8 +104,6 @@ class RecoveryReport:
             "redo_applied": self.redo_applied,
             "created_replayed": self.created_replayed,
             "deleted_replayed": self.deleted_replayed,
-            "escrow_redone": self.escrow_redone,
-            "escrow_undone": self.escrow_undone,
         }
 
 
@@ -122,10 +116,6 @@ class RecoveryResult:
     #: Per-shard log records as read (tests use these to audit the store
     #: against the log independently of the replay code above).
     shard_records: dict[int, list[WALRecord]] = field(default_factory=dict)
-    #: The same records with their LSN stamps (``(lsn, record)`` pairs) and
-    #: the per-shard snapshot boundary, for escrow-aware auditing.
-    stamped_records: dict[int, list[tuple[int, WALRecord]]] = field(default_factory=dict)
-    checkpoint_lsns: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -140,8 +130,6 @@ class ShardReplay:
     redo_applied: int = 0
     created_replayed: int = 0
     deleted_replayed: int = 0
-    escrow_redone: int = 0
-    escrow_undone: int = 0
     #: The highest OID number the log mentions; the caller advances the
     #: store's OID generator past it (and past the restored snapshot).
     max_number: int = 0
@@ -176,22 +164,21 @@ def restore_snapshot(store: Any, instances: Iterable[Sequence[Any]]) -> list[OID
     return restored
 
 
-def replay_shard(store: Any, stamped: Sequence[tuple[int, WALRecord]],
-                 outcomes: Mapping[int, str], ckpt_lsn: int,
+def replay_shard(store: Any, records: Sequence[WALRecord],
+                 outcomes: Mapping[int, str],
                  replay: ShardReplay | None = None) -> ShardReplay:
-    """Resolve one shard's ``(lsn, record)`` log into ``store`` under presumed abort.
+    """Resolve one shard's log ``records`` into ``store`` under presumed abort.
 
-    ``store`` already holds the shard's restored snapshot, whose boundary
-    stamp is ``ckpt_lsn``; ``outcomes`` maps transactions to the verdicts
-    of the durable decision log.  A transaction is a winner only with a
-    ``commit`` verdict — an ``abort`` and no verdict at all both make it a
-    loser.  The passes run in the order the module docstring gives.  What
-    the replay finds is added to ``replay`` (a fresh one by default), so
-    one summary can span several shards; it is returned.
+    ``store`` already holds the shard's restored snapshot; ``outcomes``
+    maps transactions to the verdicts of the durable decision log.  A
+    transaction is a winner only with a ``commit`` verdict — an ``abort``
+    and no verdict at all both make it a loser.  The passes run in the
+    order the module docstring gives.  What the replay finds is added to
+    ``replay`` (a fresh one by default), so one summary can span several
+    shards; it is returned.
     """
     if replay is None:
         replay = ShardReplay()
-    records = [record for _, record in stamped]
     # Structural records first, in log order: a creation the base
     # checkpoint never saw must exist before any field image of it can be
     # undone or redone; a deletion wins over both (the field images of a
@@ -217,39 +204,14 @@ def replay_shard(store: Any, stamped: Sequence[tuple[int, WALRecord]],
         oid = getattr(record, "oid", None)
         if oid is not None:
             replay.max_number = max(replay.max_number, oid.number)
-    # The oldest surviving loser before-image per (oid, field):
-    # reverse-order restoration ends on it, so once restored it — not the
-    # checkpoint snapshot — is the base state an escrow delta on that field
-    # must be judged against.
-    loser_images: dict[tuple[OID, str], tuple[int, int]] = {}
-    for lsn, record in stamped:
-        if isinstance(record, UndoImage) \
-                and outcomes.get(record.txn) != "commit":
-            for name in record.values:
-                loser_images.setdefault((record.oid, name), (lsn, record.txn))
     for record in reversed(records):
         if isinstance(record, UndoImage) \
                 and outcomes.get(record.txn) != "commit":
             replay.undo_applied += apply_image(store, record)
-    # Losers' deltas still present in the base are inverse-applied (a
-    # runtime abort logged its reversals as opposite-sign deltas, so
-    # original and inverse cancel pairwise here).
-    for lsn, record in stamped:
-        if isinstance(record, EscrowDelta) \
-                and outcomes.get(record.txn) != "commit" \
-                and _delta_survives_in_base(lsn, record, loser_images, ckpt_lsn):
-            replay.escrow_undone += _apply_delta(store, record, invert=True)
-    # Winners replay forward in log order: redo images are absolute
-    # (captured at prepare, after the winner's own deltas), so interleaving
-    # them with the deltas the base is missing lands on the committed value.
-    for lsn, record in stamped:
-        if outcomes.get(record.txn) != "commit":
-            continue
-        if isinstance(record, RedoImage):
+    for record in records:
+        if isinstance(record, RedoImage) \
+                and outcomes.get(record.txn) == "commit":
             replay.redo_applied += apply_image(store, record)
-        elif isinstance(record, EscrowDelta) and \
-                _delta_missing_from_base(lsn, record, loser_images, ckpt_lsn):
-            replay.escrow_redone += _apply_delta(store, record)
     return replay
 
 
@@ -281,52 +243,6 @@ def apply_image(store: Any, record: "InstanceCreated | InstanceDeleted "
     instance = store.get(record.oid)
     for name, value in record.values.items():
         instance.set(name, value)
-    return 1
-
-
-def _delta_survives_in_base(lsn: int, record: EscrowDelta,
-                            loser_images: dict[tuple[OID, str], tuple[int, int]],
-                            ckpt_lsn: int) -> bool:
-    """Whether a loser's delta is present in the replayed base state.
-
-    With no loser image on the field, the base is the checkpoint snapshot:
-    the delta is inside it exactly when its stamp is at or below the
-    snapshot boundary.  With a restored image, the base is that image,
-    which embeds only the *owner's own* deltas applied before the capture —
-    any other loser's earlier delta was already reverted (lock conflict
-    forces it: the escrow holder must have finished before the ordinary
-    lock was granted) and its original and inverse records cancel under
-    this same rule.
-    """
-    image = loser_images.get((record.oid, record.field))
-    if image is not None:
-        image_lsn, owner = image
-        return owner == record.txn and lsn < image_lsn
-    return 0 < lsn <= ckpt_lsn
-
-
-def _delta_missing_from_base(lsn: int, record: EscrowDelta,
-                             loser_images: dict[tuple[OID, str], tuple[int, int]],
-                             ckpt_lsn: int) -> bool:
-    """Whether a winner's delta is absent from the replayed base state.
-
-    The base boundary for the field is the restored loser image's stamp
-    when one exists (record order is apply order, so any delta stamped
-    before the capture is embedded in the image), the checkpoint boundary
-    otherwise.
-    """
-    image = loser_images.get((record.oid, record.field))
-    boundary = image[0] if image is not None else ckpt_lsn
-    return lsn > boundary
-
-
-def _apply_delta(store: Any, record: EscrowDelta, *, invert: bool = False) -> int:
-    """Merge one delta (or its inverse) into the recovering store."""
-    if record.oid not in store:
-        return 0
-    instance = store.get(record.oid)
-    delta = -record.delta if invert else record.delta
-    instance.set(record.field, store.read_field(record.oid, record.field) + delta)
     return 1
 
 
@@ -377,25 +293,20 @@ class RecoveryRunner:
             store = self._fresh_store()
         outcomes = DecisionLog.outcomes_at(self._durability.decisions_path)
         snapshot: list[Any] = []
-        ckpt_lsns: dict[int, int] = {}
         for shard_id in range(self._num_shards):
             document = read_checkpoint_file(
                 self._durability.checkpoint_path(shard_id))
             if document is not None:
-                ckpt_lsns[shard_id] = int(document.get("last_lsn", 0))
                 snapshot.extend(document["instances"])
         restored = restore_snapshot(store, snapshot)
 
         replay = ShardReplay(
             max_number=max((oid.number for oid in restored), default=0))
         shard_records: dict[int, list[WALRecord]] = {}
-        stamped_records: dict[int, list[tuple[int, WALRecord]]] = {}
         for shard_id in range(self._num_shards):
-            stamped = list(read_stamped_records(self._durability.wal_path(shard_id)))
-            stamped_records[shard_id] = stamped
-            shard_records[shard_id] = [record for _, record in stamped]
-            replay_shard(store, stamped, outcomes, ckpt_lsns.get(shard_id, 0),
-                         replay)
+            records = list(read_records(self._durability.wal_path(shard_id)))
+            shard_records[shard_id] = records
+            replay_shard(store, records, outcomes, replay)
         store.advance_oids_past(replay.max_number)
         report = RecoveryReport(
             shards=self._num_shards,
@@ -403,9 +314,7 @@ class RecoveryRunner:
             restored_instances=len(restored),
             **replay.counters())
         return RecoveryResult(store=store, report=report,
-                              shard_records=shard_records,
-                              stamped_records=stamped_records,
-                              checkpoint_lsns=ckpt_lsns)
+                              shard_records=shard_records)
 
     # -- auditing ----------------------------------------------------------------
 
@@ -422,29 +331,12 @@ class RecoveryRunner:
         """
         violations: list[str] = []
         in_doubt = set(result.report.in_doubt)
-        stamped_by_shard = result.stamped_records or {
-            shard_id: [(0, record) for record in records]
-            for shard_id, records in result.shard_records.items()}
-        for shard_id, stamped in stamped_by_shard.items():
+        for shard_id, records in result.shard_records.items():
             expected: dict[tuple[OID, str], Any] = {}
-            image_meta: dict[tuple[OID, str], tuple[int, int]] = {}
-            for lsn, record in stamped:
+            for record in records:
                 if isinstance(record, UndoImage) and record.txn in in_doubt:
                     for name, value in record.values.items():
-                        key = (record.oid, name)
-                        if key not in expected:
-                            expected[key] = value
-                            image_meta[key] = (lsn, record.txn)
-            # An oldest before-image embeds the owner's own escrow deltas
-            # applied before the capture; recovery inverse-applies those, so
-            # the value the oracle should expect is the image minus them.
-            for lsn, record in stamped:
-                if isinstance(record, EscrowDelta):
-                    key = (record.oid, record.field)
-                    meta = image_meta.get(key)
-                    if meta is not None and record.txn == meta[1] \
-                            and 0 < lsn < meta[0]:
-                        expected[key] = expected[key] - record.delta
+                        expected.setdefault((record.oid, name), value)
             for (oid, name), value in expected.items():
                 if oid not in result.store:
                     continue

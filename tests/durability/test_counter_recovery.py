@@ -1,12 +1,12 @@
-"""EscrowDelta records through crash, checkpoint and recovery.
+"""Hot counter updates through crash, checkpoint and recovery.
 
-Escrow admissions log no before/after images — each merge is one
-``EscrowDelta`` record applied atomically with the store write — so
-recovery has its own replay rules for them: winners' deltas above the
-checkpoint boundary are re-merged, losers' deltas inside the base are
-inverse-applied, and a runtime abort's inverse records cancel pairwise
-with the originals.  These tests crash a durable escrow engine at each
-interesting point and rebuild from the durability directory alone.
+The order-entry methods are counter updates (``f := f ± delta``) that run
+under ordinary locking, so their durability is the images of every other
+write: a TAV-projected before-image appended before the store write, an
+after-image at prepare, and recovery that installs images only — losers'
+before-images newest first, then winners' after-images oldest first.
+These tests crash a durable engine at each interesting point and rebuild
+from the durability directory alone.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.wal import Durability, RecoveryRunner
 
 
 @pytest.fixture
-def durable_escrow(tmp_path):
-    """A two-shard durable escrow engine over one warehouse and one stock."""
+def durable_counters(tmp_path):
+    """A two-shard durable engine over one warehouse and one stock."""
     schema = order_entry_schema()
     compiled = compile_schema(schema)
     router = ClassShardRouter(2, {"Warehouse": 0, "Stock": 1})
@@ -31,8 +31,7 @@ def durable_escrow(tmp_path):
     warehouse = store.create("Warehouse", name="west", ytd=0.0, orders=0)
     stock = store.create("Stock", item="widget", quantity=100, sold=0)
     durability = Durability.lazy(tmp_path / "wal")
-    engine = Engine(TAVProtocol(compiled, store), durability=durability,
-                    escrow=True)
+    engine = Engine(TAVProtocol(compiled, store), durability=durability)
     yield engine, schema, router, durability, warehouse.oid, stock.oid
     engine.close()
 
@@ -50,10 +49,9 @@ def _sale(engine, warehouse, stock, amount, count, label=""):
     return session
 
 
-def test_committed_deltas_are_redone_from_the_wal(durable_escrow):
-    engine, schema, router, durability, warehouse, stock = durable_escrow
+def test_committed_counter_updates_are_redone_from_the_wal(durable_counters):
+    engine, schema, router, durability, warehouse, stock = durable_counters
     session = _sale(engine, warehouse, stock, 50.0, 30, label="sale")
-    assert engine.metrics.escrow_admits > 0
     engine.close()  # crash: no checkpoint since construction
 
     result = _recover(durability, schema, router)
@@ -61,16 +59,15 @@ def test_committed_deltas_are_redone_from_the_wal(durable_escrow):
     assert result.store.read_field(stock, "quantity") == 70
     assert result.store.read_field(stock, "sold") == 30
     assert session.txn_id in result.report.winners
-    assert result.report.escrow_redone > 0
+    assert result.report.redo_applied > 0
 
 
-def test_in_flight_deltas_are_presumed_aborted(durable_escrow):
-    """A crashed transaction's applied-but-undecided deltas are
-    inverse-applied by recovery — there is no before-image to restore.
-    The checkpoint lands *while the delta is applied*, so the snapshot
-    contains it and only the kept EscrowDelta record explains it: the
-    case the ledger's pending set exists for."""
-    engine, schema, router, durability, warehouse, stock = durable_escrow
+def test_in_flight_counter_updates_are_presumed_aborted(durable_counters):
+    """A crashed transaction's applied-but-undecided update is undone by
+    restoring its before-image.  The checkpoint lands *while the update is
+    applied*, so the snapshot contains it and only the kept before-image
+    explains it: the case the checkpoint's pending set exists for."""
+    engine, schema, router, durability, warehouse, stock = durable_counters
     _sale(engine, warehouse, stock, 50.0, 30, label="good")
     dangling = engine.begin(label="crashed-mid-flight")
     dangling.call(stock, "take_stock", 25)  # applied, never commits
@@ -80,14 +77,14 @@ def test_in_flight_deltas_are_presumed_aborted(durable_escrow):
     result = _recover(durability, schema, router)
     assert result.store.read_field(stock, "quantity") == 70  # only the sale
     assert dangling.txn_id not in result.report.winners
-    assert result.report.escrow_undone > 0
+    assert result.report.undo_applied > 0
     assert RecoveryRunner.presumed_abort_violations(result) == []
 
 
-def test_checkpoint_is_an_exact_delta_boundary(durable_escrow):
-    """A delta stamped at or below the snapshot's last_lsn is inside it;
-    one above it is replayed — never both, never neither."""
-    engine, schema, router, durability, warehouse, stock = durable_escrow
+def test_checkpoint_boundary_neither_loses_nor_repeats_an_update(durable_counters):
+    """An update committed before the checkpoint is inside the snapshot;
+    one committed after it is redone — never both, never neither."""
+    engine, schema, router, durability, warehouse, stock = durable_counters
     _sale(engine, warehouse, stock, 10.0, 10, label="before-ckpt")
     engine.checkpoint()
     _sale(engine, warehouse, stock, 20.0, 5, label="after-ckpt")
@@ -99,10 +96,10 @@ def test_checkpoint_is_an_exact_delta_boundary(durable_escrow):
     assert result.store.read_field(stock, "sold") == 15
 
 
-def test_runtime_abort_logs_inverses_that_cancel_under_replay(durable_escrow):
-    """Undo at run time is itself logged (opposite-sign deltas), so a crash
-    after the abort replays original and inverse to a net zero."""
-    engine, schema, router, durability, warehouse, stock = durable_escrow
+def test_runtime_abort_then_crash_recovers_the_restored_value(durable_counters):
+    """A transaction aborted at run time is a loser under replay: its
+    before-image is restored again, landing on the value the abort left."""
+    engine, schema, router, durability, warehouse, stock = durable_counters
     session = engine.begin(label="change-of-heart")
     session.call(stock, "take_stock", 40)
     session.abort()
@@ -114,10 +111,10 @@ def test_runtime_abort_logs_inverses_that_cancel_under_replay(durable_escrow):
     assert RecoveryRunner.presumed_abort_violations(result) == []
 
 
-def test_abort_then_checkpoint_keeps_the_reverted_value(durable_escrow):
+def test_abort_then_checkpoint_keeps_the_reverted_value(durable_counters):
     """The snapshot captures the store *after* undo; recovery must not
-    re-invert deltas the base already excludes."""
-    engine, schema, router, durability, warehouse, stock = durable_escrow
+    lose the reverted value or the sale that followed it."""
+    engine, schema, router, durability, warehouse, stock = durable_counters
     session = engine.begin(label="aborted-before-ckpt")
     session.call(stock, "take_stock", 40)
     session.abort()

@@ -3,8 +3,8 @@
 ``begin(read_only=True)`` is a promise the engine both exploits and
 enforces: every operation runs against a shared committed-state copy with
 zero lock acquisitions and zero undo images, a write attempt is refused
-outright, and the copy excludes other transactions' unfinished work —
-ordinary in-flight writes and applied-but-uncommitted escrow deltas alike.
+outright, and the copy excludes other transactions' unfinished in-flight
+writes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def engine_setup():
     schema = order_entry_schema()
     compiled = compile_schema(schema)
     store = populate_store(schema, {"Warehouse": 1, "Stock": 2}, seed=3)
-    engine = Engine(TAVProtocol(compiled, store), escrow=True)
+    engine = Engine(TAVProtocol(compiled, store))
     yield engine, store
     engine.close()
 
@@ -62,42 +62,35 @@ def test_read_only_write_attempts_are_refused(engine_setup):
     assert store.read_field(stock, "quantity") == quantity - 5
 
 
-def test_snapshot_excludes_in_flight_locked_writes(engine_setup):
+@pytest.mark.parametrize(
+    "class_name, method, arguments, field, delta, report, column",
+    [("Warehouse", "note_order", (), "orders", 1,
+      "activity_report", -1),  # "name ytd orders"
+     ("Stock", "take_stock", (7,), "quantity", -7,
+      "stock_level", 1)],  # "item quantity sold"
+    ids=["note_order", "take_stock"])
+def test_snapshot_excludes_in_flight_locked_writes(engine_setup, class_name,
+                                                   method, arguments, field,
+                                                   delta, report, column):
+    """The snapshot builder rolls in-flight writes back to their
+    before-images, so a read-only report never shows half a sale."""
     engine, store = engine_setup
-    warehouse = store.extent("Warehouse")[0]
-    base = store.read_field(warehouse, "orders")
+    target = store.extent(class_name)[0]
+    base = store.read_field(target, field)
     writer = engine.begin()
-    writer.call(warehouse, "note_order")  # uncommitted
-    assert store.read_field(warehouse, "orders") == base + 1  # dirty, live
+    writer.call(target, method, *arguments)  # uncommitted
+    assert store.read_field(target, field) == base + delta  # dirty, live
 
     reader = engine.begin(read_only=True)
-    report = reader.call(warehouse, "activity_report")
+    shown = reader.call(target, report)
     reader.commit()
-    assert report.split()[-1] == str(base)  # "name ytd orders"
+    assert shown.split()[column] == str(base)
 
     writer.commit()
     after = engine.begin(read_only=True)
-    final = after.call(warehouse, "activity_report")
+    final = after.call(target, report)
     after.commit()
-    assert final.split()[-1] == str(base + 1)
-
-
-def test_snapshot_excludes_uncommitted_escrow_deltas(engine_setup):
-    """The snapshot builder freezes the ledger and rolls its live deltas
-    back, so a read-only report never shows half a sale."""
-    engine, store = engine_setup
-    stock = store.extent("Stock")[0]
-    base = store.read_field(stock, "quantity")
-    writer = engine.begin()
-    writer.call(stock, "take_stock", 7)  # escrow-admitted, uncommitted
-    assert engine.metrics.escrow_admits == 1
-    assert store.read_field(stock, "quantity") == base - 7  # applied, live
-
-    reader = engine.begin(read_only=True)
-    level = reader.call(stock, "stock_level")
-    reader.commit()
-    assert level.split()[1] == str(base)  # "item quantity sold"
-    writer.commit()
+    assert final.split()[column] == str(base + delta)
 
 
 def test_snapshot_is_shared_between_commits_and_refreshed_after(engine_setup):

@@ -4,8 +4,8 @@ Sequential replay proves the committed schedule was *serializable*; the
 conservation check proves no units were lost or duplicated along the way —
 a replica faithfully replaying lost updates would lose them identically,
 so the invariant catches a failure class replay alone cannot.  The
-concurrency tests here run the scenario under the plan cache, escrow
-admission and the runtime sanitizer at once, across every protocol.
+concurrency tests here run the scenario under the plan cache, snapshot
+reads and the runtime sanitizer at once, across every protocol.
 """
 
 from __future__ import annotations
@@ -88,18 +88,17 @@ def test_conserved_totals_and_violations(store):
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
 def test_scenario_is_serializable_and_conserving_under_every_protocol(
         protocol_name):
-    """Plan cache + escrow + sanitizer + the scenario, per protocol: the
+    """Plan cache + snapshot reads + sanitizer + the scenario, per protocol: the
     committed schedule replays serializably and no stock units leak."""
     harness = ThroughputHarness(
         order_entry_schema(), instances_per_class=POPULATION,
         spec_maker=lambda store, count: order_entry_specs(
             store, count, read_mix=0.2, seed=17))
     result = harness.run(PROTOCOLS[protocol_name], threads=4, transactions=48,
-                         default_lock_timeout=10.0, escrow=True,
+                         default_lock_timeout=10.0,
                          sanitize=True, invariant=conservation_violations)
     assert result.serializable is True
     assert result.errors == ()
     assert result.invariant_violations == ()
     assert result.sanitizer_violations == 0
-    assert result.metrics.escrow_admits > 0
     assert result.metrics.snapshot_reads > 0
