@@ -822,6 +822,83 @@ class LookupOnlyLockTableRule(Rule):
             and iterated.value.id == "self"
 
 
+class StoreFrontOnlyRule(Rule):
+    """L12: the interpreter reaches field values only through the store front.
+
+    Compiled method bodies must read and write fields with the store's
+    ``read_field`` / ``write_field``: that is where the sanitizer checks
+    lock coverage, where a read-only snapshot refuses writes, where the
+    worker guard checks the shipped write plan and where a shadow run
+    keeps its overlay.  In the interpreter module, an ``Instance`` reached
+    directly — its ``values`` dict, its ``get`` or its ``set`` — skips all
+    of them.  An instance is recognised by where it came from: a
+    ``.get(...)`` on a store or a ``fetch(...)`` of the receiver, a name
+    bound to one of those, or a name that says ``instance``.  Reading the
+    fetched instance's ``class_name`` (late binding) stays allowed.
+    """
+
+    code = "L12"
+    title = "the interpreter touches field values only via the store front"
+    historical = ("compiling method bodies to closures: the obvious fast "
+                  "path writes Instance.values directly, which "
+                  "SanitizedStoreFront, the read-only snapshot front, "
+                  "WorkerStoreGuard and ShadowStore never see — it would "
+                  "skip every check and time a different program than the "
+                  "one that runs under them")
+
+    MODULES = frozenset({"repro.objects.interpreter"})
+    _INSTANCE_ATTRS = frozenset({"values", "get", "set"})
+    _FETCHERS = frozenset({"fetch"})
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.name not in self.MODULES:
+            return
+        tree = module.tree
+        assert isinstance(tree, ast.Module)
+        bound = self._instance_names(tree)
+        for qualname, node in _QualnameWalker().walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in self._INSTANCE_ATTRS \
+                    and self._is_instance(node.value, bound):
+                yield self._finding(
+                    module, node,
+                    f"Instance.{node.attr} in {qualname or '<module>'} — "
+                    f"read and write fields through the store front's "
+                    f"read_field / write_field")
+
+    @classmethod
+    def _instance_names(cls, tree: ast.Module) -> frozenset[str]:
+        """Names bound, anywhere in the module, to an instance expression."""
+        names: set[str] = set()
+        while True:
+            before = len(names)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) \
+                        and node.value is not None \
+                        and cls._is_instance(node.value, names):
+                    targets = node.targets if isinstance(node, ast.Assign) \
+                        else [node.target]
+                    names.update(target.id for target in targets
+                                 if isinstance(target, ast.Name))
+            if len(names) == before:
+                return frozenset(names)
+
+    @classmethod
+    def _is_instance(cls, node: ast.AST, bound: set[str] | frozenset[str]) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in bound or "instance" in node.id.lower()
+        if isinstance(node, ast.Attribute):
+            return "instance" in node.attr.lower()
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id in cls._FETCHERS
+            if isinstance(func, ast.Attribute):
+                return func.attr in cls._FETCHERS or (
+                    func.attr == "get" and "store" in _receiver_hint(func).lower())
+        return False
+
+
 #: The rule set ``repro-lint`` runs, in report order.
 ALL_RULES: tuple[Rule, ...] = (
     ErrorRegistryRule(),
@@ -835,6 +912,7 @@ ALL_RULES: tuple[Rule, ...] = (
     PlanViaCacheRule(),
     ModeFreeEngineRule(),
     LookupOnlyLockTableRule(),
+    StoreFrontOnlyRule(),
 )
 
 

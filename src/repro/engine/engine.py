@@ -394,6 +394,7 @@ class Engine:
             # and no serialisation point to claim — the transaction leaves
             # no commit_log entry (sequential replay orders writers only).
             transaction.state = TransactionState.COMMITTED
+            transaction.snapshot = None
             self._origins.pop(txn, None)
             self._sessions.pop(txn, None)
             self.metrics.record_commit()
@@ -462,6 +463,7 @@ class Engine:
                 else abort_span.context().to_wire())
             self._backend.aborted(txn)
             transaction.state = TransactionState.ABORTED
+            transaction.snapshot = None
             if self._sanitizer is not None:
                 self._sanitizer.note_release(txn)
             self._locks.release_all(txn)
@@ -661,14 +663,18 @@ class Engine:
         Zero lock acquisitions, zero undo images: the operation executes
         against a committed-state copy shared by every read-only
         transaction at the same ``(commits, structural epoch)`` point.
-        Returns ``None`` when the backend has no snapshot source (the
-        partitions live elsewhere) — the caller falls through to the
-        ordinary locked path.
+        The transaction pins the copy at its first read, so a commit
+        landing between two of its reads is invisible to both.  Returns
+        ``None`` when the backend has no snapshot source (the partitions
+        live elsewhere) — the caller falls through to the ordinary locked
+        path.
         """
         if self._backend.snapshot_source is None:
             self.metrics.record_snapshot_fallback()
             return None
-        interpreter = self._snapshot_interpreter()
+        interpreter = transaction.snapshot
+        if interpreter is None:
+            interpreter = transaction.snapshot = self._snapshot_interpreter()
         with self._maybe_span(root, f"snapshot:{operation.method}", "exec"):
             results = self._protocol.execute(operation, interpreter)
         self.metrics.record_snapshot_read()

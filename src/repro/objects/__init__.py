@@ -1,11 +1,12 @@
 """Object store and method interpreter.
 
 This package is the run-time half of the OODB substrate: object identifiers,
-instances with typed fields, class extents, and a small interpreter that
-executes method bodies with genuine late binding (self-directed messages
-dispatch on the *proper* class of the receiver, prefixed messages execute the
-named ancestor's code), so that the example applications and the run-time
-baselines operate on real executions rather than on static summaries.
+instances with typed fields, class extents, and an interpreter that compiles
+method bodies to closures once per receiver class and runs them with genuine
+late binding (self-directed messages dispatch on the *proper* class of the
+receiver, prefixed messages execute the named ancestor's code), so that the
+example applications and the run-time baselines operate on real executions
+rather than on static summaries.
 """
 
 from repro.objects.oid import OID, OIDGenerator
@@ -15,7 +16,6 @@ from repro.objects.interpreter import (
     AccessEvent,
     ExecutionTrace,
     Interpreter,
-    InterpreterObserver,
     MessageEvent,
     default_builtins,
 )
@@ -25,7 +25,6 @@ __all__ = [
     "ExecutionTrace",
     "Instance",
     "Interpreter",
-    "InterpreterObserver",
     "MessageEvent",
     "OID",
     "OIDGenerator",

@@ -23,12 +23,14 @@ descendants, and every lookup answers from those tables for as long as the
 schema stays validated — run-time name resolution is a dict hit, never a C3
 merge.  :meth:`Schema.add_class` and the first line of every ``validate()``
 drop the tables; without them each lookup computes its answer on demand.
+The interpreter's compiled method bodies (:attr:`Schema.code_cache`) are
+kept with the tables and dropped with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import (
     DuplicateClassError,
@@ -103,6 +105,9 @@ class Schema:
         #: Per-class resolution tables, present exactly while the schema is
         #: validated (``None`` = compute every lookup on demand).
         self._tables: dict[str, _ClassTables] | None = None
+        #: Compiled method bodies, filled by :mod:`repro.objects.interpreter`
+        #: while validated and emptied (never replaced) with the tables.
+        self._code: dict[tuple[str, str, str | None], Any] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -118,6 +123,7 @@ class Schema:
         self._classes[class_definition.name] = class_definition
         self._validated = False
         self._tables = None
+        self._code.clear()
 
     def validate(self) -> "Schema":
         """Check structural consistency and annotate overriding methods.
@@ -132,6 +138,7 @@ class Schema:
         """
         self._tables = None
         self._validated = False
+        self._code.clear()
         for class_definition in self._classes.values():
             for superclass in class_definition.superclasses:
                 if superclass not in self._classes:
@@ -241,6 +248,17 @@ class Schema:
     def class_names(self) -> tuple[str, ...]:
         """All class names in definition order."""
         return tuple(self._classes)
+
+    @property
+    def code_cache(self) -> dict[tuple[str, str, str | None], Any]:
+        """Compiled method code by ``(receiver class, method, prefix class)``.
+
+        Owned by :func:`repro.objects.interpreter.method_code`, which stores
+        into it only while the schema is validated.  The dict object lives
+        as long as the schema; :meth:`add_class` and :meth:`validate` empty
+        it, so evolved methods are recompiled on their next send.
+        """
+        return self._code
 
     @property
     def is_validated(self) -> bool:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransactionError
 from repro.txn.operations import Operation
+
+if TYPE_CHECKING:
+    from repro.objects.interpreter import Interpreter
 
 
 class TransactionState(enum.Enum):
@@ -49,6 +52,10 @@ class Transaction:
     #: Declared read-only at begin: the engine serves it from a committed
     #: snapshot and it never touches the lock manager.
     read_only: bool = False
+    #: The committed-state interpreter a read-only transaction pinned at
+    #: its first read: every later read sees the same commit point.  The
+    #: engine drops it at commit or abort.
+    snapshot: "Interpreter | None" = None
     state: TransactionState = TransactionState.ACTIVE
     stats: TransactionStats = field(default_factory=TransactionStats)
     #: Results of completed operations, in submission order.

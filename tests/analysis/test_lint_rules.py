@@ -693,3 +693,48 @@ def test_module_name_scoping():
         "repro.engine.engine"
     assert module_name(Path("/x/y/repro/wal/__init__.py")) == "repro.wal"
     assert module_name(Path("standalone.py")) == "standalone"
+
+
+def test_l12_fires_on_every_direct_instance_access_in_the_interpreter(tmp_path):
+    tree = write_tree(tmp_path, {"repro/objects/interpreter.py": '''
+class Interpreter:
+    def read(self, oid, field):
+        return self._store.get(oid).get(field)
+
+    def write(self, oid, field, value):
+        instance = self._store.get(oid)
+        instance.set(field, value)
+
+    def dump(self, runtime, oid):
+        receiver = runtime.fetch(oid)
+        return dict(receiver.values)
+
+    def poke(self, instance, field):
+        instance.values[field] = None
+'''})
+    findings = lint_paths([tree])
+    assert codes_of(findings) == ["L12"] * 4
+    assert "Instance.values" in findings[-1].message
+
+
+def test_l12_allows_the_store_front_and_plain_dicts(tmp_path):
+    tree = write_tree(tmp_path, {"repro/objects/interpreter.py": '''
+class Interpreter:
+    def read(self, runtime, oid, field):
+        class_name = runtime.fetch(oid).class_name
+        code = self._codes.get((class_name, field))
+        function = runtime.builtins.get(field)
+        return runtime.read(oid, field), code, function, {}.values()
+
+    def write(self, oid, field, value):
+        self._store.write_field(oid, field, value)
+'''})
+    assert lint_paths([tree]) == []
+
+
+def test_l12_ignores_other_modules(tmp_path):
+    tree = write_tree(tmp_path, {"repro/objects/store.py": '''
+def read_field(store, oid, field):
+    return store.get(oid).get(field)
+'''})
+    assert lint_paths([tree]) == []

@@ -14,7 +14,8 @@ import pytest
 from repro.core import compile_schema
 from repro.engine import Engine
 from repro.errors import TransactionError
-from repro.schema.examples import order_entry_schema
+from repro.objects import ObjectStore
+from repro.schema.examples import banking_schema, order_entry_schema
 from repro.sim.workload import populate_store
 from repro.txn.protocols import TAVProtocol
 
@@ -123,3 +124,32 @@ def test_read_only_commit_short_circuits_the_commit_log(engine_setup):
     session.call(warehouse, "activity_report")
     session.commit()
     assert "just-looking" not in [label for _, label in engine.commit_log]
+
+
+def test_read_only_transaction_reads_one_snapshot_across_commits():
+    """Read skew: a transfer committing between two reads of one read-only
+    transaction must not show it half: A before the transfer and B after
+    it sum to 210, which no serial order produces."""
+    schema = banking_schema()
+    store = ObjectStore(schema)
+    first = store.create("Account", owner="a", balance=100.0).oid
+    second = store.create("Account", owner="b", balance=100.0).oid
+    with Engine(TAVProtocol(compile_schema(schema), store)) as engine:
+        reader = engine.begin(read_only=True)
+        seen_first = reader.call(first, "balance_report")
+
+        transfer = engine.begin()
+        transfer.call(first, "withdraw", 10.0)
+        transfer.call(second, "deposit", 10.0)
+        transfer.commit()
+
+        seen_second = reader.call(second, "balance_report")
+        reader.commit()
+        assert (seen_first, seen_second) == ("a 100.0", "b 100.0")
+        # The pinned snapshot was dropped with the transaction; the next
+        # reader sees the transfer.
+        assert reader.transaction.snapshot is None
+        after = engine.begin(read_only=True)
+        assert after.call(second, "balance_report") == "b 110.0"
+        after.abort()
+        assert after.transaction.snapshot is None

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import AccessMode
 from repro.errors import InterpreterError
-from repro.objects import Interpreter, InterpreterObserver, ObjectStore
+from repro.objects import Interpreter, ObjectStore
 from repro.schema import SchemaBuilder
 
 
@@ -185,42 +185,48 @@ def test_trace_entry_messages_cross_instances(library, library_store):
     assert set(trace.touched_instances()) == {member.oid, book.oid}
 
 
-def test_observer_receives_callbacks(banking):
-    class Recorder(InterpreterObserver):
-        def __init__(self):
-            self.messages = []
-            self.reads = []
-            self.writes = []
-
-        def on_message(self, oid, class_name, method, resolved_class, top_level):
-            self.messages.append((method, top_level))
-
-        def on_field_read(self, oid, field):
-            self.reads.append(field)
-
-        def on_field_write(self, oid, field):
-            self.writes.append(field)
-
+def test_trace_records_dispatches_and_field_accesses_in_order(banking):
     store = ObjectStore(banking)
-    recorder = Recorder()
-    interpreter = Interpreter(store, observer=recorder)
     account = store.create("Account", balance=5.0, active=True)
-    interpreter.send(account.oid, "transfer_in", 5.0)
-    assert ("transfer_in", True) in recorder.messages
-    assert ("deposit", False) in recorder.messages
-    assert "active" in recorder.reads
-    assert "balance" in recorder.writes
+    _, trace = Interpreter(store).send_traced(account.oid, "transfer_in", 5.0)
+    assert [(event.method, event.top_level, event.sender)
+            for event in trace.messages] == [
+        ("transfer_in", True, None), ("deposit", False, account.oid)]
+    assert [(event.field, event.mode) for event in trace.field_accesses] == [
+        ("active", AccessMode.READ), ("balance", AccessMode.READ),
+        ("balance", AccessMode.WRITE)]
+    # The deposit dispatch comes after the read of the condition that
+    # guards it, and before the balance traffic it performs.
+    assert [type(event).__name__ for event in trace.events] == [
+        "MessageEvent", "AccessEvent", "MessageEvent", "AccessEvent",
+        "AccessEvent"]
+    assert store.read_field(account.oid, "balance") == 10.0
 
 
-def test_observer_exception_aborts_execution(banking):
-    class Refuser(InterpreterObserver):
-        def on_field_write(self, oid, field):
-            raise RuntimeError("denied")
+class _RefusingFront:
+    """A store front that refuses every write, as a lock conflict would."""
 
+    def __init__(self, store):
+        self._store = store
+        self.schema = store.schema
+
+    def get(self, oid):
+        return self._store.get(oid)
+
+    def read_field(self, oid, field):
+        return self._store.read_field(oid, field)
+
+    def write_field(self, oid, field, value):
+        raise RuntimeError(f"denied: {oid}.{field}")
+
+
+def test_store_front_refusing_a_write_aborts_execution(banking):
     store = ObjectStore(banking)
-    account = store.create("Account", balance=5.0)
-    interpreter = Interpreter(store, observer=Refuser())
-    with pytest.raises(RuntimeError):
-        interpreter.send(account.oid, "deposit", 1.0)
-    # The write was intercepted before it happened.
+    account = store.create("Account", balance=5.0, active=True)
+    interpreter = Interpreter(_RefusingFront(store))
+    with pytest.raises(RuntimeError, match="denied"):
+        interpreter.send(account.oid, "transfer_in", 1.0)
+    # The refused write never reached the store.
     assert store.read_field(account.oid, "balance") == 5.0
+    # Reads went through the same front and still work.
+    assert "5.0" in interpreter.send(account.oid, "balance_report")
