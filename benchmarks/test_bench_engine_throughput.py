@@ -25,37 +25,25 @@ TRANSACTIONS = 80
 def run_engine_comparison(banking, banking_compiled):
     harness = ThroughputHarness(schema=banking, compiled=banking_compiled)
 
-    def pair():
-        return [harness.run(protocol_class, threads=THREADS,
-                            transactions=TRANSACTIONS,
-                            default_lock_timeout=10.0)
-                for protocol_class in (TAVProtocol, RWInstanceProtocol)]
-
-    results = pair()
-    # Deadlock counts are scheduler-sensitive: a cold interpreter can hand
-    # either protocol an extra restart or two.  One re-measure keeps the
-    # no-more-aborts assertion about the protocols, not about warm-up.
-    if results[0].metrics.aborted > results[1].metrics.aborted:
-        results = pair()
-    return results
+    return [harness.run(protocol_class, threads=THREADS,
+                        transactions=TRANSACTIONS, default_lock_timeout=10.0)
+            for protocol_class in (TAVProtocol, RWInstanceProtocol)]
 
 
 def test_engine_throughput_comparison(benchmark, banking, banking_compiled):
     results = benchmark.pedantic(run_engine_comparison,
                                  args=(banking, banking_compiled),
                                  rounds=1, iterations=1, warmup_rounds=0)
-    by_name = {result.protocol: result for result in results}
-    tav, rw = by_name["tav"], by_name["rw-instance"]
 
     for result in results:
         assert result.serializable is True, "serializability violation"
         assert result.failed_labels == ()
         assert result.metrics.committed == TRANSACTIONS
 
-    # The paper's qualitative claim, now in wall-clock terms: no more aborts
-    # than the baseline (pseudo-conflicts are what feed deadlock cycles).
-    assert tav.metrics.aborted <= rw.metrics.aborted
-
+    # Which transactions deadlock here depends on how the OS schedules the
+    # threads, so the abort counts are reported, not compared: the
+    # no-more-aborts claim is asserted on the seeded simulator's fixed
+    # schedule (test_bench_workload_comparison.py).
     emit(f"Engine throughput on the banking workload "
          f"({THREADS} threads, {TRANSACTIONS} transactions)",
          format_throughput_table(results))

@@ -7,11 +7,12 @@ transports (the socket run spawns a ``python -m repro.api.server``
 subprocess and talks real TCP over loopback) and reports the rows side by
 side; the document lands in ``BENCH_transport_overhead.json``.
 
-Reading the numbers: the socket rows pipeline — each transaction's
-commands travel as one frame burst and the replies stream back in order —
-so on loopback the socket path lands within ~1.5x of inproc instead of
-paying two context switches and two JSON round trips per *operation* (the
-pre-pipelining ratio was ~0.38x).  The point of the row is to track that
+Reading the numbers: both transports ship each transaction as one
+``RunProgram`` — one dispatch in-process, one request frame and one reply
+frame over the socket — so on loopback the socket path lands within ~1.5x
+of inproc instead of paying two context switches and two JSON round trips
+per *operation* (the ratio was ~0.38x when every command was its own round
+trip).  The point of the row is to track that
 fraction over time: a framing, dispatcher or batching regression shows up
 here first.  The assertions pin correctness on both paths and bound the
 overhead loosely, since the exact ratio is hardware and scheduler
@@ -36,13 +37,11 @@ JSON_PATH = pathlib.Path(__file__).with_name("BENCH_transport_overhead.json")
 def run_transport_grid(banking, banking_compiled):
     harness = ThroughputHarness(schema=banking, compiled=banking_compiled,
                                 instances_per_class=INSTANCES_PER_CLASS)
-    # Socket rows pipeline: each transaction's commands travel as one
-    # frame burst instead of one round trip per command (inproc has no
-    # wire, so pipelining is a no-op there and stays off).
+    # Every row ships each transaction as one RunProgram; the socket rows
+    # add the codec, the frames and the process hop.
     return [harness.run(TAVProtocol, threads=THREADS,
                         transactions=TRANSACTIONS, shards=shards,
-                        transport=transport, default_lock_timeout=10.0,
-                        pipeline=transport == "socket")
+                        transport=transport, default_lock_timeout=10.0)
             for shards in (1, 4)
             for transport in ("inproc", "socket")]
 
@@ -65,12 +64,11 @@ def test_transport_overhead(benchmark, banking, banking_compiled):
                  / by_key[(shards, "inproc")].commits_per_second)
         for shards in (1, 4)
     }
-    # Loopback TCP cannot be *faster* than a direct call, and with the
-    # pipelined wire the socket path stays within ~1.5x of inproc (the
-    # measured ratio is ~0.75-0.80).  A ratio under 0.5 means the batching
-    # regressed back toward one round trip per operation (~0.38 measured
-    # before reply pipelining) or something worse broke (a sleep in the
-    # hot path, Nagle re-enabled, ...).
+    # Loopback TCP cannot be *faster* than a direct call, and with one
+    # frame per transaction the socket path stays within ~1.5x of inproc.
+    # A ratio under 0.5 means the wire regressed back toward one round
+    # trip per operation (~0.38 measured then) or something worse broke
+    # (a sleep in the hot path, Nagle re-enabled, ...).
     floors = [wall_clock_floor(f"socket/inproc throughput, shards={shards}",
                                ratio, low=0.5, high=1.5)
               for shards, ratio in sorted(overhead.items())]

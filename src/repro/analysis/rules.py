@@ -499,15 +499,15 @@ class MonotonicOrderingRule(Rule):
 class RoundTripLoopRule(Rule):
     """L7: no per-operation wire round trips inside loops in client code.
 
-    The wire layers earn their throughput by batching: a pipelined client
-    sends N command frames in one write (``send_frames``) and the engine
-    ships a shard's lock requests in one ``AcquireBatch``.  A
+    The wire layers earn their throughput by shipping work whole: a client
+    sends a transaction as one ``RunProgram`` frame and the engine ships a
+    shard's lock requests in one ``AcquireBatch``.  A
     ``send_frame``/``recv_frame`` (or raw ``sendall``/``recv``) issued
     inside a ``for``/``while`` loop in the request layers quietly
     reintroduces one round trip per iteration — the exact regression the
-    batching work removed.  The batch codec itself
-    (:mod:`repro.api.wire`, where a frame loop is the implementation of
-    batching) is out of scope by module; a deliberate per-iteration round
+    batching work removed.  The frame codec itself
+    (:mod:`repro.api.wire`, where a read loop is the implementation of
+    framing) is out of scope by module; a deliberate per-iteration round
     trip is suppressible with ``# repro-lint: disable=L7``.
     """
 
@@ -540,8 +540,8 @@ class RoundTripLoopRule(Rule):
                     yield self._finding(
                         module, child,
                         f"{name}() inside a loop — one wire round trip per "
-                        f"iteration; batch the frames (send_frames/"
-                        f"recv_frames, AcquireBatch) or suppress a "
+                        f"iteration; ship the work as one message "
+                        f"(RunProgram, AcquireBatch) or suppress a "
                         f"deliberate per-iteration exchange with "
                         f"`# repro-lint: disable=L7`")
             yield from self._walk(module, child, in_loop=entered)

@@ -7,8 +7,10 @@ a live Python reference.  Here the client surface is redefined as
 
 * :mod:`repro.api.messages` — typed, JSON-serialisable requests
   (``Begin``/``Call``/``CallExtent``/``CallSome``/``CallDomain``/
-  ``Commit``/``Abort`` plus a control plane) and replies, with structured
-  error replies carrying the stable codes of :func:`repro.errors.error_codes`;
+  ``Commit``/``Abort`` for an interactive session, ``RunProgram`` for a
+  whole transaction in one request, plus a control plane) and replies,
+  with structured error replies carrying the stable codes of
+  :func:`repro.errors.error_codes`;
 * :mod:`repro.api.dispatcher` — the :class:`~repro.api.dispatcher.Dispatcher`
   owning the only client-path reference to the engine;
 * :mod:`repro.api.admission` — the
@@ -19,9 +21,11 @@ a live Python reference.  Here the client surface is redefined as
   :class:`~repro.api.connection.Connection`, the zero-copy
   :class:`~repro.api.connection.InProcessConnection`,
   :class:`~repro.api.connection.ClientSession` sugar and the retrying
-  :class:`~repro.api.connection.TransactionRunner`;
+  :class:`~repro.api.connection.TransactionRunner`, whose ``run_spec``
+  ships every workload spec as one ``RunProgram``;
 * :mod:`repro.api.server` / :mod:`repro.api.client` — the same messages as
-  length-prefixed JSON frames over TCP (``python -m repro.api.server``).
+  length-prefixed JSON frames over TCP (``python -m repro.api.server``);
+  the codec runs only there, so an in-process program is never encoded.
 
 :class:`~repro.engine.session.Session` routes through this layer too, so
 in-process and networked clients exercise the very same command path.

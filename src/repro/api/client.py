@@ -27,7 +27,7 @@ from repro.api.messages import (
     message_to_wire,
     reply_from_wire,
 )
-from repro.api.wire import recv_frame, recv_frames, send_frame, send_frames
+from repro.api.wire import recv_frame, send_frame
 from repro.errors import ProtocolError
 
 
@@ -69,29 +69,6 @@ class SocketConnection(Connection):
             raise ProtocolError("the server closed the connection "
                                 f"while {message.type!r} was in flight")
         return reply_from_wire(document)
-
-    def request_many(self, messages: "list[Request] | tuple[Request, ...]"
-                     ) -> list[Reply]:
-        """Pipeline: send every request, then read every reply, in order.
-
-        All N frames go out in one write before the first reply is read;
-        the server processes a connection's frames strictly sequentially,
-        so reply i always answers request i.  A k-message exchange costs
-        one round trip instead of k.
-
-        Raises:
-            ProtocolError: the server hung up mid-pipeline or a frame does
-                not decode as a reply.
-        """
-        if not messages:
-            return []
-        with self._mutex:
-            if self._closed:
-                raise ProtocolError("the connection is closed")
-            send_frames(self._sock,
-                        [message_to_wire(message) for message in messages])
-            documents = recv_frames(self._sock, len(messages))
-        return [reply_from_wire(document) for document in documents]
 
     def close(self) -> None:
         """Close the socket.  Idempotent; open transactions are aborted by

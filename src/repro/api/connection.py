@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from repro.api.messages import (
     Abort,
-    Batch,
-    BatchReply,
     Begin,
     BeginReply,
     CommitLog,
@@ -51,9 +49,7 @@ from repro.api.messages import (
     Stats,
     StoreState,
     exception_from_reply,
-    message_to_wire,
     raise_if_error,
-    reply_from_wire,
     request_for_operation,
 )
 from repro.errors import (
@@ -148,35 +144,15 @@ class Connection(abc.ABC):
         """Whether the other side answers."""
         return bool(self._info(Ping()).get("pong"))
 
-    def batch(self, requests: "list[Request] | tuple[Request, ...]",
-              trace: Any = None) -> list[Reply]:
-        """Execute several requests as one :class:`Batch` frame.
-
-        Returns one typed reply per request, positionally — partial-reject
-        semantics: a failing member answers with its own typed error reply
-        in its slot, the others still run.
-        """
-        if hasattr(trace, "to_wire"):
-            trace = trace.to_wire()
-        envelope = Batch(commands=tuple(message_to_wire(request)
-                                        for request in requests),
-                         trace=trace)
-        reply = raise_if_error(self.request(envelope))
-        if not isinstance(reply, BatchReply):
-            raise ProtocolError(f"batch answered with {type(reply).__name__}")
-        if len(reply.replies) != len(requests):
-            raise ProtocolError(f"batch of {len(requests)} commands answered "
-                                f"with {len(reply.replies)} replies")
-        return [reply_from_wire(dict(document)) for document in reply.replies]
-
     def run_program(self, operations: "list[Operation] | tuple[Operation, ...]",
                     *, label: str = "", max_retries: int = 10,
                     trace: Any = None, read_only: bool = False) -> ProgramReply:
         """Run ``Begin + operations + Commit`` as one server-side program.
 
-        One round trip for the whole transaction; deadlock/timeout retries
-        happen on the server with the wait-die origin carried across
-        incarnations.
+        One dispatch in-process, one round trip over a socket; the
+        operations travel typed and are encoded only where a socket needs
+        bytes.  Deadlock/timeout retries happen on the server with the
+        wait-die origin carried across incarnations.
 
         Raises:
             OverloadedError: admission control refused (back off and retry).
@@ -184,11 +160,9 @@ class Connection(abc.ABC):
         """
         if hasattr(trace, "to_wire"):
             trace = trace.to_wire()
-        program = RunProgram(
-            operations=tuple(message_to_wire(request_for_operation(0, operation))
-                             for operation in operations),
-            label=label, max_retries=max_retries, trace=trace,
-            read_only=read_only)
+        program = RunProgram(operations=tuple(operations), label=label,
+                             max_retries=max_retries, trace=trace,
+                             read_only=read_only)
         reply = raise_if_error(self.request(program))
         if not isinstance(reply, ProgramReply):
             raise ProtocolError(
@@ -409,36 +383,23 @@ class TransactionRunner:
     def run_spec(self, spec: "TransactionSpec", *,
                  max_retries: int | None = None,
                  pipeline: bool = False) -> list[Any]:
-        """Replay one workload :class:`TransactionSpec` with retry.
+        """Replay one workload :class:`TransactionSpec` as one program.
 
-        With ``pipeline=True`` the whole spec ships as one
-        :class:`~repro.api.messages.RunProgram` frame — O(1) round trips;
-        deadlock/timeout retries run server-side (still counted in
+        The whole spec ships as one :class:`~repro.api.messages.RunProgram`
+        — one dispatch in-process, one round trip over a socket.
+        Deadlock/timeout retries run server-side (still counted in
         :attr:`retries`), and only :class:`Overloaded` answers are retried
         here, since admission refusals happen before any work starts.
+        ``pipeline`` is accepted and ignored: every spec travels this one
+        way, and the argument stays only for callers that still pass it.
         """
-        if pipeline:
-            return self.run_program_spec(spec, max_retries=max_retries)
-
-        def replay(session: ClientSession) -> list[Any]:
-            results: list[Any] = []
-            for operation in spec.operations:
-                results.append(session.perform(operation))
-            return results
-
-        return self.run(replay, label=spec.label, max_retries=max_retries,
-                        read_only=getattr(spec, "read_only", False))
-
-    def run_program_spec(self, spec: "TransactionSpec", *,
-                         max_retries: int | None = None) -> list[Any]:
-        """Replay one spec through the one-round-trip program path."""
         retries = self._max_retries if max_retries is None else max_retries
         overloads = 0
         while True:
             try:
                 reply = self._connection.run_program(
                     spec.operations, label=spec.label, max_retries=retries,
-                    read_only=getattr(spec, "read_only", False))
+                    read_only=spec.read_only)
             except OverloadedError as error:
                 self.overloads += 1
                 overloads += 1
@@ -447,8 +408,7 @@ class TransactionRunner:
                 time.sleep(self._backoff(overloads))
                 continue
             self.retries += reply.retries
-            return [list(results) if isinstance(results, (list, tuple))
-                    else results for results in reply.results]
+            return [list(results) for results in reply.results]
 
     def _backoff(self, attempt: int) -> float:
         delay = min(self._backoff_cap, self._backoff_base * (2 ** (attempt - 1)))

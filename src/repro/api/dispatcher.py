@@ -29,7 +29,6 @@ socket server aborts whatever a *vanished* client left behind — see
 from __future__ import annotations
 
 import contextlib
-import random
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -38,8 +37,6 @@ from repro.api.admission import AdmissionController
 from repro.api.messages import (
     Abort,
     AbortReply,
-    Batch,
-    BatchReply,
     Begin,
     BeginReply,
     Call,
@@ -61,18 +58,11 @@ from repro.api.messages import (
     RunProgram,
     Stats,
     StoreState,
-    message_to_wire,
     operation_from_request,
     reply_for_error,
-    request_from_wire,
 )
-from repro.errors import (
-    DeadlockError,
-    LockTimeoutError,
-    ProtocolError,
-    ReproError,
-    TransactionError,
-)
+from repro.errors import ProtocolError, ReproError, TransactionError
+from repro.txn.operations import Operation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.engine.engine import Engine
@@ -101,7 +91,6 @@ class Dispatcher:
             CallDomain: self._call,
             Commit: self._commit,
             Abort: self._abort,
-            Batch: self._batch,
             RunProgram: self._run_program,
             Describe: self._describe,
             CommitLog: self._commit_log,
@@ -198,117 +187,48 @@ class Dispatcher:
         results = self._engine.perform(session.transaction, operation)
         return ResultReply(txn=request.txn, results=tuple(results))
 
-    # -- batched and programmed execution ----------------------------------------
-
-    #: Server-side retry backoff for :class:`RunProgram` — the same capped
-    #: exponential shape :class:`~repro.api.connection.TransactionRunner`
-    #: uses client-side, only without a round trip per round.
-    _PROGRAM_BACKOFF_BASE = 0.001
-    _PROGRAM_BACKOFF_CAP = 0.05
-
-    def _batch(self, request: Batch) -> Reply:
-        """Execute a multi-command frame strictly in order.
-
-        Partial-reject semantics: each command is decoded and dispatched
-        independently; a malformed or failing member answers with its own
-        typed error reply in its slot (stable error codes preserved), and
-        the remaining commands still run.
-        """
-        replies: list[dict[str, Any]] = []
-        with self._batch_span(request):
-            for document in request.commands:
-                try:
-                    command = request_from_wire(document)
-                    if isinstance(command, (Batch, RunProgram)):
-                        raise ProtocolError(
-                            f"{command.type!r} cannot nest inside a batch")
-                    reply = self.dispatch(command)
-                except ReproError as error:
-                    reply = reply_for_error(error)
-                replies.append(message_to_wire(reply))
-        return BatchReply(replies=tuple(replies))
-
-    def _batch_span(self, request: Batch) -> Any:
-        """An ``api:batch`` span joined to the client's trace context, so
-        the per-command ``api:<type>`` spans recorded inside it stay under
-        one connected tree."""
-        tracer = getattr(self._engine, "tracer", None)
-        trace = request.trace
-        if tracer is None or not isinstance(trace, Mapping) \
-                or "t" not in trace:
-            return contextlib.nullcontext()
-        return tracer.span("api:batch", trace["t"], parent=trace.get("p"),
-                           category="api",
-                           args={"commands": len(request.commands)})
+    # -- programmed execution -----------------------------------------------------
 
     def _run_program(self, request: RunProgram) -> Reply:
         """Run ``Begin + operations + Commit`` server-side, with retry.
 
-        The program holds one admission slot for its whole lifetime —
-        retries re-begin without re-knocking, so a retried program cannot
-        be starved at the door it already passed.  Deadlock and
-        lock-timeout aborts are retried here with the first incarnation's
-        begin timestamp carried as the wait-die ``origin``; any other
-        failure aborts and answers with its typed error reply.
+        The retry loop is the engine's own
+        (:meth:`~repro.engine.engine.Engine.run_transaction`): deadlock and
+        lock-timeout aborts re-begin with the first incarnation's begin
+        timestamp as the wait-die ``origin``; any other failure aborts and
+        answers with its typed error reply.  The program holds one
+        admission slot for its whole lifetime — retries re-begin without
+        re-knocking, so a retried program cannot be starved at the door it
+        already passed.
         """
-        operations = []
-        for document in request.operations:
-            command = request_from_wire(document)
-            operations.append(operation_from_request(command))
+        engine = self._engine
+        operations = request.operations
+        for operation in operations:
+            if not isinstance(operation, Operation):
+                raise ProtocolError(f"a run_program member must be an "
+                                    f"operation, got {operation!r}")
+
+        def work(session: "Session") -> Reply:
+            transaction = session.transaction
+            results = tuple(tuple(engine.perform(transaction, operation))
+                            for operation in operations)
+            started = time.perf_counter()
+            engine.commit(transaction, label=request.label)
+            engine.metrics.record_latency("commit_latency",
+                                          time.perf_counter() - started)
+            return ProgramReply(txn=session.txn_id, results=results,
+                                retries=transaction.stats.restarts)
+
         if self._admission is not None:
             self._admission.admit()
         try:
-            return self._execute_program(request, operations)
+            return engine.run_transaction(
+                work, label=request.label,
+                max_retries=max(int(request.max_retries), 0),
+                trace=request.trace, read_only=request.read_only)
         finally:
             if self._admission is not None:
                 self._admission.release()
-
-    def _execute_program(self, request: RunProgram,
-                         operations: list[Any]) -> Reply:
-        engine = self._engine
-        max_retries = max(int(request.max_retries), 0)
-        origin: int | None = None
-        rng: random.Random | None = None
-        attempt = 0
-        while True:
-            session = engine.begin(label=request.label, origin=origin,
-                                   trace=request.trace,
-                                   read_only=getattr(request, "read_only",
-                                                     False))
-            if origin is None:
-                origin = session.txn_id
-                rng = random.Random(origin)
-            try:
-                results = tuple(tuple(engine.perform(session.transaction,
-                                                     operation))
-                                for operation in operations)
-                started = time.perf_counter()
-                engine.commit(session.transaction,
-                              label=request.label or session.label)
-                engine.metrics.record_latency("commit_latency",
-                                              time.perf_counter() - started)
-                return ProgramReply(txn=session.txn_id, results=results,
-                                    retries=attempt)
-            except (DeadlockError, LockTimeoutError):
-                self._abort_quietly(session)
-                attempt += 1
-                if attempt > max_retries:
-                    raise
-                delay = min(self._PROGRAM_BACKOFF_CAP,
-                            self._PROGRAM_BACKOFF_BASE
-                            * (2 ** min(attempt - 1, 6)))
-                time.sleep(delay * rng.uniform(0.5, 1.0))
-            except BaseException:
-                self._abort_quietly(session)
-                raise
-
-    def _abort_quietly(self, session: "Session") -> None:
-        """Abort an unfinished program incarnation, swallowing follow-on
-        engine errors so the original failure is what the client sees."""
-        if session.transaction.is_finished:
-            return
-        with contextlib.suppress(ReproError):
-            self._engine.abort(session.transaction)
 
     # -- control plane ----------------------------------------------------------
 

@@ -19,6 +19,10 @@ request            meaning
 :class:`Abort`     abort (before-images restored, locks released)
 =================  =========================================================
 
+A client that knows its whole transaction up front sends it as one
+:class:`RunProgram` instead: typed operations, begun, performed, committed
+and retried server-side, one request and one reply.  Those are the two
+ways in — an interactive session of the commands above, or a program —
 plus a small control plane (:class:`Describe`, :class:`CommitLog`,
 :class:`StoreState`, :class:`MetricsSnapshot`, :class:`Stats`,
 :class:`Ping`) that the throughput harness and operational tooling use.
@@ -42,7 +46,7 @@ containers round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import Any, Mapping
 
 from repro.errors import (
@@ -166,43 +170,28 @@ class Abort:
 
 
 @dataclass(frozen=True)
-class Batch:
-    """Several commands in one frame.
-
-    ``commands`` holds the *wire form* (:func:`message_to_wire`) of each
-    sub-request; the dispatcher decodes and executes them strictly in
-    order and answers with a :class:`BatchReply` whose ``replies`` slot i
-    is the wire form of command i's reply.  Semantics are *partial
-    reject*: a malformed or failing command yields an :class:`ErrorReply`
-    in its own slot with its stable error code, and execution continues
-    with the next command — the batch envelope itself never fails because
-    one member did.
-    """
-
-    commands: tuple[Mapping[str, Any], ...] = ()
-    trace: Any = None
-
-    type = "batch"
-    _tuples = ("commands",)
-
-
-@dataclass(frozen=True)
 class RunProgram:
-    """A whole transaction as one frame: ``Begin + Calls + Commit``.
+    """A whole transaction as one request: ``Begin + Calls + Commit``.
 
-    ``operations`` holds the wire form of call-family requests
-    (:class:`Call`/:class:`CallExtent`/:class:`CallSome`/
-    :class:`CallDomain`); their ``txn`` fields are placeholders — the
-    dispatcher begins a fresh transaction, performs the operations in
-    order, and commits, all server-side.  A deadlock or lock-timeout
-    abort is retried *on the server* up to ``max_retries`` times with the
-    first incarnation's begin timestamp carried as the wait-die origin,
-    so a retry costs zero extra round trips and keeps its seniority.
-    The answer is one :class:`ProgramReply` (or a typed error /
-    :class:`Overloaded`).
+    ``operations`` holds typed :mod:`repro.txn.operations` operations; an
+    in-process connection hands them to the dispatcher as they are.  The
+    codec runs only at a socket: :func:`message_to_wire` writes each one
+    as the wire form of its call request (:class:`Call`/
+    :class:`CallExtent`/:class:`CallSome`/:class:`CallDomain`, with a
+    placeholder ``txn`` of 0), a member that already is such a wire
+    mapping is written as it stands, and :func:`request_from_wire` turns
+    each member back into an operation exactly once.  The dispatcher
+    begins a fresh transaction, performs the operations in order, and
+    commits, all server-side, through
+    :meth:`~repro.engine.engine.Engine.run_transaction`: a deadlock or
+    lock-timeout abort is retried *on the server* up to ``max_retries``
+    times with the first incarnation's begin timestamp carried as the
+    wait-die origin, so a retry costs zero extra round trips and keeps its
+    seniority.  The answer is one :class:`ProgramReply` (or a typed error
+    / :class:`Overloaded`).
     """
 
-    operations: tuple[Mapping[str, Any], ...] = ()
+    operations: tuple[Operation | Mapping[str, Any], ...] = ()
     label: str = ""
     max_retries: int = 10
     trace: Any = None
@@ -267,8 +256,8 @@ class Ping:
 
 
 Request = (Begin | Call | CallExtent | CallSome | CallDomain | Commit | Abort
-           | Batch | RunProgram | Describe | CommitLog | StoreState
-           | MetricsSnapshot | Stats | Ping)
+           | RunProgram | Describe | CommitLog | StoreState | MetricsSnapshot
+           | Stats | Ping)
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +341,6 @@ class Overloaded:
 
 
 @dataclass(frozen=True)
-class BatchReply:
-    """Per-command replies for a :class:`Batch`, in command order.
-
-    ``replies[i]`` is the wire form of the reply to ``commands[i]`` — the
-    same length always, so a client pairs them positionally."""
-
-    replies: tuple[Mapping[str, Any], ...] = ()
-
-    type = "batch_reply"
-    _tuples = ("replies",)
-
-
-@dataclass(frozen=True)
 class ProgramReply:
     """A :class:`RunProgram` committed.  ``txn`` names the incarnation that
     committed; ``results`` holds each operation's results in program order;
@@ -388,8 +364,8 @@ class InfoReply:
     _tuples = ()
 
 
-Reply = (BeginReply | ResultReply | CommitReply | AbortReply | BatchReply
-         | ProgramReply | ErrorReply | Overloaded | InfoReply)
+Reply = (BeginReply | ResultReply | CommitReply | AbortReply | ProgramReply
+         | ErrorReply | Overloaded | InfoReply)
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +476,38 @@ def raise_if_error(reply: Reply) -> Reply:
 
 _REQUEST_TYPES: dict[str, type] = {
     cls.type: cls for cls in (Begin, Call, CallExtent, CallSome, CallDomain,
-                              Commit, Abort, Batch, RunProgram, Describe,
-                              CommitLog, StoreState, MetricsSnapshot, Stats,
-                              Ping)
+                              Commit, Abort, RunProgram, Describe, CommitLog,
+                              StoreState, MetricsSnapshot, Stats, Ping)
 }
 _REPLY_TYPES: dict[str, type] = {
     cls.type: cls for cls in (BeginReply, ResultReply, CommitReply, AbortReply,
-                              BatchReply, ProgramReply, ErrorReply, Overloaded,
-                              InfoReply)
+                              ProgramReply, ErrorReply, Overloaded, InfoReply)
 }
 
 
 def message_to_wire(message: Request | Reply) -> dict[str, Any]:
-    """The JSON-representable dict form of any request or reply."""
+    """The JSON-representable dict form of any request or reply.
+
+    A :class:`RunProgram`'s typed operations go out as the wire form of
+    their call requests (see :func:`request_for_operation`)."""
     document: dict[str, Any] = {"type": message.type}
+    program = isinstance(message, RunProgram)
     for spec in dataclass_fields(message):
-        document[spec.name] = encode_value(getattr(message, spec.name))
+        value = getattr(message, spec.name)
+        if program and spec.name == "operations":
+            document["operations"] = [_member_to_wire(member)
+                                      for member in value]
+        else:
+            document[spec.name] = encode_value(value)
     return document
+
+
+def _member_to_wire(member: Operation | Mapping[str, Any]) -> Any:
+    """One :class:`RunProgram` member in wire form: an operation as its
+    call request, a member already in wire form as it stands."""
+    if isinstance(member, Mapping):
+        return encode_value(member)
+    return message_to_wire(request_for_operation(0, member))
 
 
 def decode_message(document: Mapping[str, Any], registry: Mapping[str, type],
@@ -554,7 +545,25 @@ def decode_message(document: Mapping[str, Any], registry: Mapping[str, type],
 
 
 def request_from_wire(document: Mapping[str, Any]) -> Request:
-    """Rebuild a typed request from its wire dict (server side)."""
+    """Rebuild a typed request from its wire dict (server side).
+
+    A :class:`RunProgram` comes back holding typed operations: each member
+    is decoded once, straight to the operation its call request names, and
+    a member that is not a well-formed call request is a
+    :class:`~repro.errors.ProtocolError` for the whole program.
+    """
+    if isinstance(document, Mapping) \
+            and document.get("type") == RunProgram.type:
+        members = document.get("operations", [])
+        if not isinstance(members, list):
+            raise ProtocolError("run_program operations must be a list, "
+                                f"got {type(members).__name__}")
+        program = decode_message({**document, "operations": ()},
+                                 _REQUEST_TYPES, "request")
+        return replace(program, operations=tuple(
+            operation_from_request(
+                decode_message(member, _REQUEST_TYPES, "program member"))
+            for member in members))
     return decode_message(document, _REQUEST_TYPES, "request")
 
 

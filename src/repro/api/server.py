@@ -42,8 +42,6 @@ from repro.api.dispatcher import Dispatcher
 from repro.api.messages import (
     Abort,
     AbortReply,
-    Batch,
-    BatchReply,
     BeginReply,
     CommitReply,
     message_to_wire,
@@ -174,8 +172,6 @@ class ApiServer:
                     owned.add(reply.txn)
                 elif isinstance(reply, (CommitReply, AbortReply)):
                     owned.discard(reply.txn)
-                elif isinstance(reply, BatchReply) and isinstance(request, Batch):
-                    self._track_batch(owned, reply)
                 metrics.record_frames(1)
                 send_frame(sock, message_to_wire(reply))
         except (ProtocolError, ConnectionError, OSError):
@@ -194,21 +190,6 @@ class ApiServer:
                     # shutdown the entry stays, so the join sees it.
                     self._workers.discard(threading.current_thread())
             sock.close()
-
-    @staticmethod
-    def _track_batch(owned: set[int], reply: BatchReply) -> None:
-        """Keep the vanished-client cleanup honest across batched frames:
-        a Begin or Commit/Abort executed *inside* a batch moves its
-        transaction in and out of ``owned`` exactly as a bare one does."""
-        for document in reply.replies:
-            kind = document.get("type") if isinstance(document, Mapping) else None
-            txn = document.get("txn") if isinstance(document, Mapping) else None
-            if not isinstance(txn, int):
-                continue
-            if kind == BeginReply.type:
-                owned.add(txn)
-            elif kind in (CommitReply.type, AbortReply.type):
-                owned.discard(txn)
 
     # -- introspection ----------------------------------------------------------
 

@@ -40,47 +40,6 @@ def send_frame(sock: socket.socket, document: Mapping[str, Any]) -> None:
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
-def send_frames(sock: socket.socket,
-                documents: "list[Mapping[str, Any]] | tuple[Mapping[str, Any], ...]"
-                ) -> None:
-    """Send several frames with one write — the pipelined send path.
-
-    The frames are concatenated and handed to the kernel in a single
-    ``sendall``, so a client that pipelines N requests pays one syscall
-    (and, on the wire, at most one segment flush) instead of N.  Framing
-    is unchanged: the receiver sees N ordinary frames.
-    """
-    parts: list[bytes] = []
-    for document in documents:
-        payload = json.dumps(document, separators=(",", ":"),
-                             sort_keys=True).encode("utf-8")
-        if len(payload) > MAX_FRAME:
-            raise ProtocolError(f"message of {len(payload)} bytes exceeds "
-                                f"the {MAX_FRAME}-byte frame limit")
-        parts.append(_HEADER.pack(len(payload)))
-        parts.append(payload)
-    if parts:
-        sock.sendall(b"".join(parts))
-
-
-def recv_frames(sock: socket.socket, count: int) -> list[dict[str, Any]]:
-    """Receive exactly ``count`` frames, in order — the pipelined read path.
-
-    Raises:
-        ProtocolError: the peer hung up before all ``count`` replies
-            arrived (mid-pipeline EOF is always an error: the sender is
-            owed answers).
-    """
-    documents: list[dict[str, Any]] = []
-    for index in range(count):
-        document = recv_frame(sock)
-        if document is None:
-            raise ProtocolError(f"stream closed after {index} of {count} "
-                                f"pipelined replies")
-        documents.append(document)
-    return documents
-
-
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     """Receive one frame; ``None`` when the peer closed between frames.
 

@@ -85,6 +85,7 @@ from repro.engine.session import Session
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
+    ReproError,
     TransactionError,
     TwoPhaseCommitError,
 )
@@ -101,7 +102,6 @@ from repro.sharding.recovery import ShardedRecoveryManager
 from repro.sharding.router import HashShardRouter, ShardRouter
 from repro.sharding.rpc import DEFAULT_PARTICIPANT_TIMEOUT, RemoteShardClient
 from repro.sharding.twopc import TwoPhaseCommitCoordinator
-from repro.sim.workload import TransactionSpec
 from repro.txn.operations import Operation
 from repro.txn.plan_cache import PlanCache
 from repro.txn.protocols.base import (
@@ -769,7 +769,9 @@ class Engine:
 
     def run_transaction(self, work: Callable[[Session], T], *,
                         label: str = "",
-                        max_retries: int | None = None) -> T:
+                        max_retries: int | None = None,
+                        trace: object = None,
+                        read_only: bool = False) -> T:
         """Run ``work(session)`` transactionally with automatic retry.
 
         The session is committed when ``work`` returns without having
@@ -785,12 +787,18 @@ class Engine:
         transaction therefore keeps its seniority instead of re-entering as
         the youngest — the wait-die-style fix for retry starvation, where a
         long transaction under contention was re-victimised forever.
+
+        ``trace`` and ``read_only`` are handed to every incarnation's
+        :meth:`begin`.  This is the engine's one abort-and-retry loop: the
+        dispatcher runs a :class:`~repro.api.messages.RunProgram` through
+        it.
         """
         retries = self._max_retries if max_retries is None else max_retries
         attempt = 0
         origin: int | None = None
         while True:
-            session = self.begin(label=label, origin=origin)
+            session = self.begin(label=label, origin=origin, trace=trace,
+                                 read_only=read_only)
             origin = session.transaction.origin
             session.transaction.stats.restarts = attempt
             try:
@@ -810,22 +818,12 @@ class Engine:
                 self._abort_quietly(session)
                 raise
 
-    def run_spec(self, spec: TransactionSpec, *,
-                 max_retries: int | None = None) -> list[Any]:
-        """Replay one workload :class:`TransactionSpec` with retry."""
-
-        def replay(session: Session) -> list[Any]:
-            results: list[Any] = []
-            for operation in spec.operations:
-                results.append(session.perform(operation))
-            return results
-
-        return self.run_transaction(replay, label=spec.label,
-                                    max_retries=max_retries)
-
     def _abort_quietly(self, session: Session) -> None:
+        """Abort an unfinished incarnation, swallowing follow-on engine
+        errors so the original failure is what the caller sees."""
         if not session.transaction.is_finished:
-            self.abort(session.transaction)
+            with contextlib.suppress(ReproError):
+                self.abort(session.transaction)
 
     def _backoff(self, attempt: int) -> float:
         delay = min(self._backoff_cap, self._backoff_base * (2 ** (attempt - 1)))

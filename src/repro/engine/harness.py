@@ -8,8 +8,9 @@ structural metrics for the same (protocol, store, workload) triple.
 
 Since the API redesign the harness drives every workload through a
 :class:`~repro.api.connection.Connection` — each worker owns a
-:class:`~repro.api.connection.TransactionRunner` speaking the typed command
-API.  ``--transport`` chooses the channel:
+:class:`~repro.api.connection.TransactionRunner` that ships every spec as
+one :class:`~repro.api.messages.RunProgram` (one dispatch in-process, one
+round trip over a socket).  ``--transport`` chooses the channel:
 
 * ``inproc`` (default) — an
   :class:`~repro.api.connection.InProcessConnection` to a dispatcher over a
@@ -103,10 +104,6 @@ class HarnessResult:
     durability: str
     #: How the workers reached the engine (``inproc`` or ``socket``).
     transport: str
-    #: Whether workers shipped each spec as one pipelined ``RunProgram``
-    #: frame (O(1) client round trips per transaction) instead of one
-    #: command frame per operation.
-    pipeline: bool
     transactions: int
     metrics: EngineMetrics
     #: Labels of the committed transactions, in commit (serialisation) order.
@@ -148,7 +145,6 @@ class HarnessResult:
                                "workers": self.shard_workers,
                                "durability": self.durability,
                                "transport": self.transport,
-                               "pipeline": "yes" if self.pipeline else "no",
                                "txns": self.transactions}
         if self.replicas:
             row["replicas"] = self.replicas
@@ -245,7 +241,6 @@ class ThroughputHarness:
             wal_dir: str | Path | None = None,
             group_commit_ms: float | None = None,
             transport: str = "inproc",
-            pipeline: bool = False,
             address: "str | tuple[str, int] | None" = None,
             admission: "AdmissionController | Mapping[str, Any] | None" = None,
             max_retries: int = 20,
@@ -304,7 +299,6 @@ class ThroughputHarness:
                 durability=durability, wal_dir=wal_dir,
                 group_commit_ms=group_commit_ms,
                 admission=admission, max_retries=max_retries,
-                pipeline=pipeline,
                 trace_path=trace_path, trace_sample=trace_sample,
                 engine_options=engine_options)
         else:
@@ -312,7 +306,7 @@ class ThroughputHarness:
                 protocol_class, specs, threads=threads, shards=shards,
                 router=router, durability=durability, wal_dir=wal_dir,
                 address=address, admission=admission, max_retries=max_retries,
-                pipeline=pipeline, verify=verify,
+                verify=verify,
                 engine_options=engine_options)
 
         serializable: bool | None = None
@@ -333,7 +327,6 @@ class ThroughputHarness:
                              shard_workers=shard_workers or 0,
                              durability=pieces["durability"],
                              transport=transport,
-                             pipeline=pipeline,
                              transactions=len(specs),
                              metrics=pieces["metrics"],
                              commit_labels=pieces["commit_labels"],
@@ -360,7 +353,6 @@ class ThroughputHarness:
                     group_commit_ms: float | None,
                     admission: "AdmissionController | Mapping[str, Any] | None",
                     max_retries: int,
-                    pipeline: bool,
                     trace_path: str | Path | None,
                     trace_sample: int,
                     engine_options: dict[str, Any]) -> dict[str, Any]:
@@ -415,8 +407,7 @@ class ThroughputHarness:
                 connection = InProcessConnection(
                     dispatcher=Dispatcher(engine, admission=controller))
                 driven = self._drive(specs, threads, lambda index: connection,
-                                     max_retries=max_retries,
-                                     pipeline=pipeline)
+                                     max_retries=max_retries)
                 engine.metrics.elapsed = driven["elapsed"]
                 engine.metrics.wal_bytes = engine.wal_bytes_written
                 commit_labels = tuple(label for _, label in engine.commit_log)
@@ -459,7 +450,7 @@ class ThroughputHarness:
                     wal_dir: str | Path | None,
                     address: "str | tuple[str, int] | None",
                     admission: "AdmissionController | Mapping[str, Any] | None",
-                    max_retries: int, pipeline: bool, verify: bool,
+                    max_retries: int, verify: bool,
                     engine_options: dict[str, Any]) -> dict[str, Any]:
         """Drive a server process over TCP (spawned unless ``address``)."""
         from repro.api import client as socket_client
@@ -519,7 +510,7 @@ class ThroughputHarness:
                 driven = self._drive(
                     specs, threads,
                     lambda index: socket_client.connect(address),
-                    max_retries=max_retries, pipeline=pipeline)
+                    max_retries=max_retries)
                 ours = {spec.label for spec in specs}
                 commit_labels = tuple(
                     label
@@ -575,7 +566,7 @@ class ThroughputHarness:
 
     def _drive(self, specs: Sequence[TransactionSpec], threads: int,
                connect: Callable[[int], Connection], *,
-               max_retries: int, pipeline: bool = False) -> dict[str, Any]:
+               max_retries: int) -> dict[str, Any]:
         """Replay ``specs`` over per-worker connections; collect failures."""
         work: "queue.SimpleQueue[TransactionSpec]" = queue.SimpleQueue()
         for spec in specs:
@@ -607,7 +598,7 @@ class ThroughputHarness:
                     except queue.Empty:
                         return
                     try:
-                        runner.run_spec(spec, pipeline=pipeline)
+                        runner.run_spec(spec)
                     except (DeadlockError, LockTimeoutError):
                         with mutex:
                             failed.append(spec.label)
@@ -738,7 +729,6 @@ def bench_document(results: Sequence[HarnessResult],
              "serializable": result.serializable,
              "durability": result.durability,
              "transport": result.transport,
-             "pipeline": result.pipeline,
              "wal_bytes": result.metrics.wal_bytes,
              "wal_bytes_per_commit": round(result.metrics.wal_bytes_per_commit, 1),
              "failed": list(result.failed_labels)}
@@ -774,7 +764,6 @@ def write_bench_json(path: str, results: Sequence[HarnessResult],
             "lock_timeout": arguments.lock_timeout,
             "durability": arguments.durability,
             "transport": arguments.transport,
-            "pipeline": getattr(arguments, "pipeline", False),
             "addr": arguments.addr,
             "max_in_flight": arguments.max_in_flight,
             "verified": not arguments.no_verify,
@@ -848,11 +837,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "the dispatcher directly, 'socket' drives a "
                              "repro.api.server process over TCP "
                              "(default: inproc)")
-    parser.add_argument("--pipeline", action="store_true",
-                        help="ship each transaction as one RunProgram frame "
-                             "(O(1) client round trips; deadlock/timeout "
-                             "retries run server-side) instead of one frame "
-                             "per command — the batched wire path")
     parser.add_argument("--addr", metavar="HOST:PORT", default=None,
                         help="with --transport socket: use this running "
                              "server instead of spawning one (it must serve "
@@ -993,7 +977,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              wal_dir=arguments.wal_dir,
                              group_commit_ms=arguments.group_commit_ms,
                              transport=arguments.transport,
-                             pipeline=arguments.pipeline,
                              address=arguments.addr,
                              admission=admission,
                              trace_path=arguments.trace,

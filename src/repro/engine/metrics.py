@@ -77,8 +77,8 @@ class EngineMetrics:
     #: round-trip count the batching work optimises; 0 without workers).
     rpc_requests: int = 0
     #: Reply frames the socket server sent to clients (the client-layer
-    #: round-trip count; 0 in-process).  One pipelined batch or program is
-    #: one frame however many commands it carries.
+    #: round-trip count; 0 in-process).  One program is one frame however
+    #: many operations it carries.
     frames_sent: int = 0
     #: Locked operations whose plan a compiled template served (final: one
     #: acquisition round, no refresh).  Counted once per locked operation.

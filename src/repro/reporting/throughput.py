@@ -17,7 +17,6 @@ from repro.reporting.tables import format_records
 #: committed transaction — the cost column the WAL-overhead bench compares.
 #: ``transport`` names the path workers took to the engine (inproc/socket)
 #: and ``overloads`` counts typed admission-control rejections they rode out.
-#: ``pipeline`` says whether transactions shipped as one RunProgram frame;
 #: ``rpcs`` counts shard-worker RPC requests and ``frames`` server reply
 #: frames — the two round-trip budgets the batching work drives down.
 #: ``p50_ms``/``p95_ms``/``p99_ms`` are commit-latency percentiles from the
@@ -27,7 +26,7 @@ from repro.reporting.tables import format_records
 #: lock-free snapshot path — the two runtime-payoff counters.  ``invariant``
 #: is the workload-level conservation verdict (order-entry scenario only).
 _COLUMNS = ("protocol", "threads", "shards", "workers", "durability",
-            "transport", "pipeline", "txns",
+            "transport", "txns",
             "committed", "xshard", "aborted", "retries", "deadlocks",
             "timeouts", "overloads", "rpcs", "frames", "commits_per_s",
             "abort_rate", "mean_wait_ms", "p50_ms", "p95_ms", "p99_ms",

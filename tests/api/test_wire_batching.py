@@ -1,47 +1,58 @@
-"""The batched wire paths: multi-command frames, pipelined replies, programs.
+"""The program path: a whole transaction as one typed ``RunProgram``.
 
-Four behaviours the round-trip elimination must not buy at the price of
+What shipping a transaction as one program must not buy at the price of
 correctness:
 
-* pipelined replies stay ordered (and keep flowing) when a command in the
-  middle of the pipeline blocks on a lock;
-* an :class:`~repro.api.messages.Overloaded` answer mid-pipeline is a typed
-  reply in its slot — the client never hangs on a refused Begin's
-  dependents;
-* a malformed command inside a :class:`~repro.api.messages.Batch` is
-  rejected in its own slot with its stable error code while the rest of
-  the batch still runs;
 * a :class:`~repro.api.messages.RunProgram` commits a whole transaction in
   one reply frame, and its server-side retries carry the first
   incarnation's wait-die origin — the regression test for retry starvation
-  over the wire.
+  over the wire;
+* the codec runs only at a socket: in-process, a spec is one dispatch and
+  no encode or decode at all;
+* the frame a program of typed operations becomes is byte-for-byte the
+  frame built from wire-form members, and the frame the program path has
+  always sent;
+* a member that is not a well-formed call request is a typed
+  ``ProtocolError`` for the whole program, answered before any work starts,
+  so it leaves no session, lock or admission slot behind.
 """
 
 from __future__ import annotations
 
+import json
+import socket
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.api import messages
+from repro.api.admission import AdmissionController
 from repro.api.client import connect
+from repro.api.connection import InProcessConnection, TransactionRunner
+from repro.api.dispatcher import Dispatcher
 from repro.api.messages import (
-    Abort,
-    Batch,
-    Begin,
-    BeginReply,
-    Call,
-    Commit,
-    CommitReply,
     ErrorReply,
-    Overloaded,
-    ResultReply,
+    RunProgram,
+    message_to_wire,
+    reply_from_wire,
+    request_for_operation,
+    request_from_wire,
 )
 from repro.api.server import ApiServer
+from repro.api.wire import recv_frame, send_frame
 from repro.engine import Engine
 from repro.errors import LockTimeoutError
 from repro.objects import ObjectStore
-from repro.txn.operations import MethodCall
+from repro.objects.oid import OID
+from repro.sim.workload import TransactionSpec
+from repro.txn.operations import (
+    DomainAllCall,
+    DomainSomeCall,
+    ExtentCall,
+    MethodCall,
+)
 from repro.txn.protocols import TAVProtocol
 
 
@@ -55,126 +66,6 @@ def served(banking, banking_compiled):
                 detection_interval=0.005) as engine:
         with ApiServer(engine) as server:
             yield server, engine, store
-
-
-# -- pipelining ----------------------------------------------------------------
-
-
-def test_batch_frame_commits_a_whole_transaction(served):
-    server, engine, store = served
-    oid = store.extent("Account")[0]
-    with connect(server.address) as connection:
-        begin, = connection.batch([Begin(label="batched")])
-        assert isinstance(begin, BeginReply)
-        txn = begin.txn
-        result, commit = connection.batch([
-            Call(txn=txn, oid=oid, method="deposit", arguments=(25.0,)),
-            Commit(txn=txn),
-        ])
-    assert isinstance(result, ResultReply)
-    assert isinstance(commit, CommitReply)
-    assert store.read_field(oid, "balance") == 125.0
-
-
-def test_pipelined_replies_stay_ordered_under_a_slow_command(served):
-    server, engine, store = served
-    slow_oid, fast_oid = store.extent("Account")
-    holder = engine.begin(label="holder")
-    engine.perform(holder.transaction,
-                   MethodCall(oid=slow_oid, method="deposit",
-                              arguments=(1.0,)))
-
-    def release_later() -> None:
-        time.sleep(0.3)
-        engine.commit(holder.transaction)
-
-    releaser = threading.Thread(target=release_later, daemon=True,
-                                name="releaser")
-    connection = connect(server.address)
-    try:
-        begin = connection.request(Begin(label="pipelined"))
-        txn = begin.txn
-        releaser.start()
-        started = time.perf_counter()
-        # The middle command blocks behind the holder's lock; the frames
-        # after it are already on the server, and their replies must come
-        # back in order once the lock frees — not hang, not reorder.
-        replies = connection.request_many([
-            Call(txn=txn, oid=slow_oid, method="deposit", arguments=(2.0,)),
-            Call(txn=txn, oid=fast_oid, method="deposit", arguments=(3.0,)),
-            Commit(txn=txn),
-        ])
-        elapsed = time.perf_counter() - started
-    finally:
-        connection.close()
-        releaser.join(timeout=5.0)
-    assert [type(reply) for reply in replies] \
-        == [ResultReply, ResultReply, CommitReply]
-    assert all(getattr(reply, "txn", txn) == txn for reply in replies)
-    assert elapsed >= 0.2  # the pipeline really did wait mid-flight
-    assert store.read_field(slow_oid, "balance") == 103.0
-    assert store.read_field(fast_oid, "balance") == 103.0
-
-
-def test_overloaded_mid_pipeline_is_typed_and_never_hangs(banking,
-                                                          banking_compiled):
-    store = ObjectStore(banking)
-    store.create("Account", balance=100.0, owner="ada", active=True)
-    oid = store.extent("Account")[0]
-    from repro.api.admission import AdmissionController
-
-    admission = AdmissionController(1, max_queue=0, queue_timeout=0.05)
-    with Engine(TAVProtocol(banking_compiled, store)) as engine:
-        with ApiServer(engine, admission=admission) as server:
-            hogging = connect(server.address)
-            pipelined = connect(server.address)
-            try:
-                hog = hogging.request(Begin(label="hog"))
-                # Begin is refused at the door; the dependent commands must
-                # each come back as typed replies in their slots — a hang
-                # here is exactly the failure mode this path guards.
-                replies = pipelined.request_many([
-                    Begin(label="refused"),
-                    Call(txn=999_999, oid=oid, method="deposit",
-                         arguments=(1.0,)),
-                    Commit(txn=999_999),
-                ])
-                assert isinstance(replies[0], Overloaded)
-                assert isinstance(replies[1], ErrorReply)
-                assert isinstance(replies[2], ErrorReply)
-                assert replies[1].code == "TRANSACTION"
-                assert replies[2].code == "TRANSACTION"
-                hogging.request(Abort(txn=hog.txn))
-            finally:
-                pipelined.close()
-                hogging.close()
-
-
-# -- batch partial reject ------------------------------------------------------
-
-
-def test_malformed_batch_member_rejects_in_its_slot(served):
-    server, engine, store = served
-    oid = store.extent("Account")[0]
-    with connect(server.address) as connection:
-        begin = connection.request(Begin(label="partial"))
-        txn = begin.txn
-        reply = connection.request(Batch(commands=(
-            {"type": "call", "txn": txn, "oid": {"$oid": [
-                "Account", int(str(oid).rsplit("#", 1)[1])]},
-             "method": "deposit", "arguments": [5.0]},
-            {"type": "no_such_command"},
-            {"type": "batch", "commands": []},  # nesting is refused
-            {"type": "commit", "txn": txn},
-        )))
-        documents = [dict(document) for document in reply.replies]
-    assert documents[0]["type"] == "result"
-    assert documents[1]["type"] == "error"
-    assert documents[1]["code"] == "PROTOCOL"
-    assert documents[2]["type"] == "error"
-    assert documents[2]["code"] == "PROTOCOL"
-    assert documents[3]["type"] == "committed"
-    assert store.read_field(oid, "balance") == 105.0
 
 
 # -- the program path ----------------------------------------------------------
@@ -271,3 +162,144 @@ def test_program_retries_exhaust_as_a_typed_error(banking, banking_compiled):
             finally:
                 engine.abort(holder.transaction)
     assert store.read_field(oid, "balance") == 100.0
+
+
+# -- the codec boundary ----------------------------------------------------------
+
+#: One operation of each access kind (i)-(iv).
+GOLDEN_OPERATIONS = (
+    MethodCall(oid=OID(class_name="Account", number=1), method="withdraw",
+               arguments=(5.0,)),
+    ExtentCall(class_name="SavingsAccount", method="deposit",
+               arguments=(1.0,)),
+    DomainSomeCall(class_name="Account", method="deposit",
+                   oids=(OID(class_name="Account", number=1),
+                         OID(class_name="SavingsAccount", number=2)),
+                   arguments=(2.5,)),
+    DomainAllCall(class_name="Account", method="balance_report"),
+)
+
+#: The frame the program path sent for ``GOLDEN_OPERATIONS`` before
+#: programs carried typed operations (length prefix included).
+GOLDEN_FRAME = (
+    b')\x02\x00\x00{"label":"golden","max_retries":20,"operations":['
+    b'{"arguments":[5.0],"as_class":null,"method":"withdraw",'
+    b'"oid":{"$oid":["Account",1]},"txn":0,"type":"call"},'
+    b'{"arguments":[1.0],"class_name":"SavingsAccount","method":"deposit",'
+    b'"txn":0,"type":"call_extent"},'
+    b'{"arguments":[2.5],"class_name":"Account","method":"deposit",'
+    b'"oids":[{"$oid":["Account",1]},{"$oid":["SavingsAccount",2]}],'
+    b'"txn":0,"type":"call_some"},'
+    b'{"arguments":[],"class_name":"Account","method":"balance_report",'
+    b'"txn":0,"type":"call_domain"}],'
+    b'"read_only":false,"trace":null,"type":"run_program"}')
+
+
+class _Capture:
+    """A socket stand-in that keeps what ``send_frame`` writes."""
+
+    def __init__(self) -> None:
+        self.data = b""
+
+    def sendall(self, data: bytes) -> None:
+        self.data += data
+
+
+def _frame(program: RunProgram) -> bytes:
+    capture = _Capture()
+    send_frame(capture, message_to_wire(program))
+    return capture.data
+
+
+def test_typed_program_frame_is_byte_identical_to_the_wire_built_one():
+    typed = RunProgram(operations=GOLDEN_OPERATIONS, label="golden",
+                       max_retries=20)
+    wire_built = RunProgram(
+        operations=tuple(message_to_wire(request_for_operation(0, operation))
+                         for operation in GOLDEN_OPERATIONS),
+        label="golden", max_retries=20)
+    assert _frame(typed) == _frame(wire_built) == GOLDEN_FRAME
+    # Decoding hands the server the typed operations back, once each.
+    document = json.loads(GOLDEN_FRAME[4:].decode("utf-8"))
+    assert request_from_wire(document) == typed
+
+
+def test_in_process_spec_is_one_dispatch_and_no_codec(banking,
+                                                      banking_compiled,
+                                                      monkeypatch):
+    store = ObjectStore(banking)
+    store.create("Account", balance=100.0, owner="ada", active=True)
+    store.create("Account", balance=100.0, owner="grace", active=True)
+    first, second = store.extent("Account")
+    spec = TransactionSpec(operations=(
+        MethodCall(oid=first, method="withdraw", arguments=(10.0,)),
+        MethodCall(oid=second, method="deposit", arguments=(10.0,)),
+        MethodCall(oid=first, method="deposit", arguments=(1.0,)),
+        MethodCall(oid=second, method="withdraw", arguments=(1.0,)),
+    ), label="four-ops")
+    codec_calls: list[str] = []
+    for name in ("message_to_wire", "request_from_wire"):
+        original = getattr(messages, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            codec_calls.append(_name)
+            return _original(*args, **kwargs)
+
+        # Every module that bound the function by name, not just its home.
+        for module in list(sys.modules.values()):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    dispatched: list[str] = []
+    original_dispatch = Dispatcher.dispatch
+
+    def counting_dispatch(self, request):
+        dispatched.append(request.type)
+        return original_dispatch(self, request)
+
+    monkeypatch.setattr(Dispatcher, "dispatch", counting_dispatch)
+    with Engine(TAVProtocol(banking_compiled, store)) as engine:
+        runner = TransactionRunner(InProcessConnection(engine))
+        results = runner.run_spec(spec)
+        assert engine.commit_log[-1][1] == "four-ops"
+    assert dispatched == ["run_program"]
+    assert codec_calls == []
+    assert results == [[None]] * 4
+    assert runner.retries == 0
+    assert store.read_field(first, "balance") == 91.0
+    assert store.read_field(second, "balance") == 109.0
+
+
+@pytest.mark.parametrize("member", [
+    {"type": "begin", "label": "nested"},
+    {"type": "call", "txn": 0, "method": "deposit", "arguments": [5.0]},
+], ids=["begin-member", "call-without-oid"])
+def test_malformed_program_member_is_a_typed_error_and_leaves_nothing(
+        banking, banking_compiled, member):
+    store = ObjectStore(banking)
+    store.create("Account", balance=100.0, owner="ada", active=True)
+    oid = store.extent("Account")[0]
+    admission = AdmissionController(1, max_queue=0, queue_timeout=0.05)
+    with Engine(TAVProtocol(banking_compiled, store),
+                default_lock_timeout=0.05) as engine:
+        with ApiServer(engine, admission=admission) as server:
+            good = message_to_wire(request_for_operation(
+                0, MethodCall(oid=oid, method="deposit", arguments=(5.0,))))
+            begun = engine.metrics.begun
+            with socket.create_connection(server.address) as sock:
+                send_frame(sock, {"type": "run_program", "label": "bad",
+                                  "operations": [good, member]})
+                reply = reply_from_wire(recv_frame(sock))
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == "PROTOCOL"
+            # Refused while decoding: nothing began, nothing was admitted.
+            assert engine.metrics.begun == begun
+            assert admission.in_flight == 0
+            assert engine.session_for(begun + 1) is None
+            # The slot and the account are free: a well-formed program on
+            # the same single-slot server commits at once.
+            with connect(server.address) as connection:
+                committed = connection.run_program(
+                    [MethodCall(oid=oid, method="deposit", arguments=(5.0,))],
+                    label="good")
+            assert committed.retries == 0
+    assert store.read_field(oid, "balance") == 105.0
